@@ -12,9 +12,11 @@ Acceptance rides along as assertions: batched cold throughput must be
 ≥5x scalar for the analytic engine and ≥2.5x for the fluid engine. The
 fluid bar is lower by necessity, not modesty — each fluid run still
 executes a real discrete event loop per spec (~0.9 ms floor on this
-corpus), so batching can only amortise the presolve around it; the
-analytic engine's whole cost is the rate solve, which the batch path
-stacks into shared numpy problems. Equivalence is *not* re-proven here
+corpus), and its ``run_batch`` is the default loop over ``run``: the
+whole fluid win is engine reuse (one warm ``System`` and memo for the
+batch instead of a fresh engine per spec). The analytic engine's whole
+cost is the rate solve, which the batch path stacks into shared numpy
+problems. Equivalence is *not* re-proven here
 (tests/scenarios/test_batch_equivalence.py owns that); a digest spot
 check just guards against benchmarking two different computations.
 """

@@ -16,7 +16,7 @@ import json
 import pathlib
 import time
 
-from repro.oracle.differential import Scenario
+from repro.scenarios import ScenarioSpec
 from repro.service.executor import ScenarioService, ServiceConfig, percentile
 from repro.service.jobs import JobSpec, JobState
 
@@ -30,7 +30,7 @@ HOT_REQUESTS = 120  # 90% of these repeat a warm working set
 def _spec(index: int) -> JobSpec:
     """Small distinct scenarios: ~ms-scale sims, unique fingerprints."""
     return JobSpec(
-        scenario=Scenario(
+        scenario=ScenarioSpec(
             name=f"bench-{index}",
             kind="barrier_loop",
             works=(1.0e9 + index * 1.0e6, 2.0e9, 1.5e9, 3.0e9),

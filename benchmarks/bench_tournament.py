@@ -14,11 +14,13 @@ execution strategy, not a different computation). The throughput one is
 a floor, not a headline: batched must stay within 10% of scalar even in
 the worst case. That bar is deliberately modest physics: every fluid
 cell keeps its own discrete event loop (trap cells add hundreds of
-controller ticks), so batching only amortises the vectorized presolve —
-typically a 1.1-1.2x win on this corpus, but within container jitter on
-a bad run. ``bench_batch_engines.py`` owns the headline engine-level
-speedups on presolve-bound corpora; this file pins what batching means
-*at tournament scale* and records the measured cells/second.
+controller ticks), and the fluid ``run_batch`` is the plain loop over
+``run`` on one warm engine, so a batched and a scalar sweep do the same
+work and the ratio sits near 1x, within container jitter on a bad run.
+``bench_batch_engines.py`` owns the headline engine-level speedups; this
+file pins what batching means *at tournament scale* and records the
+measured cells/second. (``_meta.note`` in the results file is kept as
+first written, from when the fluid batch path still had a presolve.)
 """
 
 import json

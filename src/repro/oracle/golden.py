@@ -326,11 +326,11 @@ def check_all_batch(
 ) -> List[GoldenCheck]:
     """Replay every golden file through the fluid engine's *batch* path.
 
-    All recorded scenarios go through one ``run_batch`` call (the
-    vectorized presolve + per-spec event loops) and each result is
-    compared against its recording exactly like :func:`check` — the
-    batch-path twin of the scalar replay, guarding the stacked solver
-    against drift the same way the scalar check guards the event loop.
+    All recorded scenarios go through one ``run_batch`` call (per-spec
+    event loops on one engine's shared warm ``System``) and each result
+    is compared against its recording exactly like :func:`check` — the
+    batch-path twin of the scalar replay, guarding against a digest
+    that depends on what ran earlier in the batch.
     """
     paths = golden_paths(directory)
     if not paths:

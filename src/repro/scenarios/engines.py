@@ -32,14 +32,10 @@ with a correct default fallback (a loop over :meth:`Engine.run`) and
 native strategies where amortisation pays:
 
 ``fluid``
-    Predicts the chip states a batch will visit (every combination of
-    compute/spin postures per mapped context at the static priorities),
-    dedupes them across the batch, solves the misses in one stacked
-    numpy call (:meth:`AnalyticThroughputModel.chip_ipc_stack`), then
-    runs the per-spec event loops against the warmed memo. The
-    prediction is purely a speed heuristic — anything it missed is
-    solved on demand — and the solve itself is a pure function, so
-    batch traces are bit-identical to scalar ones.
+    The default loop. Its batch speed-up over fresh engines comes from
+    reuse alone: the loop runs every spec on the same per-thread warm
+    ``System``, whose memo already holds the chip states earlier specs
+    visited.
 ``analytic``
     Stacks all specs' steady-state chip solves into one vectorized
     call; the per-spec closed form then reads warm cache entries.
@@ -52,7 +48,6 @@ native strategies where amortisation pays:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -349,7 +344,6 @@ class FluidEngine(Engine):
     #: give every spec its own controllers; this is how dynamic
     #: balancing policies ride the batch API.
     option_names = ("incremental_rates", "check_invariants", "controllers")
-    batch_strategy = "vectorized"
     axes = ("priority", "mapping", "dynamic", "topology")
 
     def __init__(self) -> None:
@@ -446,134 +440,6 @@ class FluidEngine(Engine):
         elapsed = time.perf_counter() - t0
         _observe_run(self.name, elapsed, nodes=_spec_nodes(spec))
         return ExecutionResult.from_run(self.name, spec, run, elapsed)
-
-    def run_batch(
-        self,
-        specs,
-        *,
-        labels: Optional[List[str]] = None,
-        options: Optional[Mapping[str, object]] = None,
-    ) -> List[ExecutionResult]:
-        """Batch execution: presolve the batch's chip states, then run.
-
-        Phase 1 predicts every chip state the batch's event loops will
-        query (per spec: each mapped context either computes its profile
-        or spins at a barrier, at its static priority), dedupes them
-        across the batch, and solves the cache misses in one stacked
-        numpy call. Phase 2 runs the ordinary scalar event loops, which
-        now hit a warm memo. Correctness never depends on the
-        prediction: a state it missed is solved on demand, and the
-        solve is a pure function of the state — so digests are
-        bit-identical to per-spec ``run`` calls in any order.
-        """
-        specs, labels = self._batch_args(specs, labels)
-        opts = self._opts(options)
-        t0 = time.perf_counter()
-        incremental = bool(opts.get("incremental_rates", True))
-        invariants = bool(opts.get("check_invariants", False))
-
-        by_system: Dict[tuple, List[ScenarioSpec]] = {}
-        for spec in specs:
-            by_system.setdefault((spec.seed, spec.topology), []).append(spec)
-        for (seed, topology), group in by_system.items():
-            system = self._system(seed, incremental, invariants, topology)
-            self._presolve(system, group)
-
-        results = [
-            self.run(spec, label=label, options=options)
-            for spec, label in zip(specs, labels)
-        ]
-        _observe_batch(self.name, len(specs), time.perf_counter() - t0)
-        return results
-
-    def _presolve(self, system: System, specs: List[ScenarioSpec]) -> None:
-        """Warm ``system.model``'s chip memo for a group of specs."""
-        model = system.model
-        stack = getattr(model, "chip_ipc_stack", None)
-        if stack is None:  # pragma: no cover - non-analytic model
-            return
-        chip_cache = model._chip_cache
-        seen = set()
-        states = []
-        for spec in specs:
-            for core_states in self._candidate_chip_states(system, spec):
-                key = tuple(
-                    (
-                        pa.name if pa else None,
-                        pb.name if pb else None,
-                        xa,
-                        xb,
-                    )
-                    for (pa, pb, xa, xb) in core_states
-                )
-                if key not in seen and key not in chip_cache:
-                    seen.add(key)
-                    states.append(core_states)
-        if states:
-            stack(states)
-
-    def _candidate_chip_states(self, system, spec: ScenarioSpec):
-        """Chip states ``spec``'s event loop is expected to query.
-
-        Mirrors the runtime's state construction: a plain chip is one
-        core group covering *all* cores (idle contexts included, at the
-        default MEDIUM priority); static priorities are applied at t=0;
-        each mapped context is either computing ``spec.profile`` or
-        parked in the wait posture (the spin profile under the default
-        ``wait_mode="spin"``, an empty context under ``"block"``).
-        Enumerates the cartesian product of the two postures per mapped
-        context — at most ``2**n_ranks`` states, of which a run
-        typically visits a handful.
-
-        On a cluster the throughput-coupling domain is one *node* chip
-        (the runtime's ``core_groups``), so the posture product runs
-        per node and yields that node's chip states — never a
-        cross-node product, which would be exponentially larger and
-        query states no chip ever sees.
-        """
-        runtime_cfg = system.config.runtime
-        if runtime_cfg.wait_mode == "spin":
-            wait_load = BASE_PROFILES[runtime_cfg.spin_profile]
-        else:
-            wait_load = None
-        profile = BASE_PROFILES[spec.profile]
-        mapping = spec.mapping_obj()
-        prios = spec.priority_dict() or {}
-
-        if spec.topology is not None:
-            cpus_per_chip = spec.topology.cpus_per_node
-            chip_cores = cpus_per_chip // 2
-        else:
-            chip_cores = system.config.chip.n_cores
-            cpus_per_chip = 2 * chip_cores
-
-        by_chip: Dict[int, List[int]] = {}
-        cpu_prio: Dict[int, int] = {}
-        for rank in range(spec.n_ranks):
-            cpu = mapping.cpu_of(rank)
-            cpu_prio[cpu] = int(prios.get(rank, 4))
-            chip = cpu // cpus_per_chip if spec.topology is not None else 0
-            by_chip.setdefault(chip, []).append(cpu)
-
-        for chip, mapped_cpus in by_chip.items():
-            base = chip * cpus_per_chip
-            prio_row = [
-                cpu_prio.get(base + local, 4) for local in range(cpus_per_chip)
-            ]
-            for postures in itertools.product((profile, wait_load),
-                                              repeat=len(mapped_cpus)):
-                load_row = [None] * cpus_per_chip
-                for cpu, load in zip(mapped_cpus, postures):
-                    load_row[cpu - base] = load
-                yield tuple(
-                    (
-                        load_row[2 * core],
-                        load_row[2 * core + 1],
-                        prio_row[2 * core],
-                        prio_row[2 * core + 1],
-                    )
-                    for core in range(chip_cores)
-                )
 
 
 class CycleEngine(Engine):
@@ -859,12 +725,12 @@ class AnalyticEngine(Engine):
     ) -> List[ExecutionResult]:
         """Batch execution: one stacked solve for the whole batch.
 
-        Every spec's steady-state chip query is collected, deduped, and
-        the cache misses solved in a single vectorized call
-        (:meth:`AnalyticThroughputModel.chip_ipc_stack`, which reads and
-        fills the same memo caches scalar queries use); the closed form
-        per spec then consumes the solved IPCs directly. Identical to
-        looping :meth:`run` — same pure solve, same caches.
+        Every spec's steady-state chip query goes into a single
+        vectorized call (:meth:`AnalyticThroughputModel.chip_ipc_stack`,
+        which dedupes them and reads and fills the same memo caches
+        scalar queries use); the closed form per spec then consumes the
+        solved IPCs directly. Identical to looping :meth:`run` — same
+        pure solve, same caches.
         """
         specs, labels = self._batch_args(specs, labels)
         opts = self._opts(options)
@@ -881,38 +747,14 @@ class AnalyticEngine(Engine):
             if spec.topology is not None:
                 results[i] = self.run(spec, label=labels[i], options=options)
         flat_specs = [specs[i] for i in flat_idx]
-        flat_labels = [labels[i] for i in flat_idx]
         mappings = [spec.mapping_obj() for spec in flat_specs]
-        states = [
+        solved = model.chip_ipc_stack([
             self._core_states(spec, mapping)
             for spec, mapping in zip(flat_specs, mappings)
-        ]
-        stack = getattr(model, "chip_ipc_stack", None)
-        if stack is not None and flat_specs:
-            keys = [
-                tuple(
-                    (
-                        pa.name if pa else None,
-                        pb.name if pb else None,
-                        xa,
-                        xb,
-                    )
-                    for (pa, pb, xa, xb) in core_states
-                )
-                for core_states in states
-            ]
-            unique = {}
-            for key, core_states in zip(keys, states):
-                unique.setdefault(key, core_states)
-            solved = stack(list(unique.values()))
-            by_key = dict(zip(unique, solved))
-            for i, spec, label, mapping, key in zip(
-                flat_idx, flat_specs, flat_labels, mappings, keys
-            ):
-                t0 = time.perf_counter()
-                results[i] = self._finish(spec, label, mapping, by_key[key], t0)
-        else:
-            for i, spec, label in zip(flat_idx, flat_specs, flat_labels):
-                results[i] = self.run(spec, label=label, options=options)
+        ])
+        for i, spec, mapping, ipcs in zip(flat_idx, flat_specs, mappings, solved):
+            results[i] = self._finish(
+                spec, labels[i], mapping, ipcs, time.perf_counter()
+            )
         _observe_batch(self.name, len(specs), time.perf_counter() - batch_t0)
         return results

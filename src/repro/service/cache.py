@@ -2,8 +2,8 @@
 
 Results are keyed by :attr:`JobSpec.fingerprint` — a sha256 over the
 physics-determining fields of the request, which for scenario-kind specs
-embeds the oracle layer's own scenario fingerprint
-(:attr:`~repro.oracle.differential.Scenario.fingerprint`). The simulator
+embeds the scenario's own fingerprint
+(:attr:`~repro.scenarios.ScenarioSpec.fingerprint`). The simulator
 is deterministic, so a fingerprint names exactly one trace digest and a
 stored :class:`~repro.service.jobs.JobResult` can be served forever
 (bounded by LRU eviction, not TTL).

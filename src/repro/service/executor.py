@@ -6,12 +6,13 @@ provides — a :class:`~repro.service.queue.JobQueue`, a
 adds the execution policy: cache-first admission (a stored fingerprint
 is served without a queue slot; an in-flight one coalesces), per-attempt
 timeouts, total deadlines, and retry-with-backoff for transient worker
-failures. Workers additionally coalesce up to
+failures. Every job runs as a batch: workers dequeue up to
 ``ServiceConfig.max_batch_size`` compatible queued jobs (same engine;
-see :meth:`ScenarioService._compat_key`) into one
-``engine.run_batch`` call — results, errors, and telemetry stay
-per job, and a failed batch falls back to per-job execution so one
-poison spec cannot fail its neighbours.
+see :meth:`ScenarioService._compat_key`) and hand them to one
+``engine.run_batch`` call, a lone job as a batch of one. Results,
+errors, and telemetry stay per job, and a failed batch of several
+falls back to per-job execution so one poison spec cannot fail its
+neighbours.
 
 Execution itself goes through the :mod:`repro.scenarios` engine
 registry: the spec's model knob resolves to a registered engine
@@ -38,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -170,32 +171,24 @@ def _resolve(spec: JobSpec, table_path: Optional[str]):
 def execute_spec(
     spec: JobSpec, table_path: Optional[str] = None
 ) -> JobResult:
-    """Run one spec to a :class:`JobResult` (the default worker runner).
-
-    Deterministic by construction: the request's scenario (embedded, or
-    the named paper case's spec) is dispatched to the engine
-    ``spec.engine`` names, so the served digest is bit-identical to a
-    direct ``get_engine(...).run(...)`` — or a
-    :func:`~repro.experiments.runner.run_case` — of the same request.
-    """
-    engine, scenario, label, options = _resolve(spec, table_path)
-    result = engine.run(scenario, label=label, options=options)
-    if spec.check_invariants:
-        from repro.oracle.checker import verify_run
-
-        verify_run(result.run)
-    return JobResult.from_execution(spec, result)
+    """Run one spec to a :class:`JobResult`: a batch of one."""
+    return execute_spec_batch([spec], table_path)[0]
 
 
 def execute_spec_batch(
-    specs: list, table_path: Optional[str] = None
-) -> list:
-    """Run coalesced specs through one ``engine.run_batch`` call.
+    specs: List[JobSpec], table_path: Optional[str] = None
+) -> List[JobResult]:
+    """Run specs through one ``engine.run_batch`` call (the default
+    worker runner).
 
+    Deterministic by construction: each request's scenario (embedded,
+    or the named paper case's spec) is dispatched to the engine
+    ``spec.engine`` names, so the served digest is bit-identical to a
+    direct ``get_engine(...).run(...)`` — or a
+    :func:`~repro.experiments.runner.run_case` — of the same request.
     All specs must name the same engine (the queue's compatibility key
     guarantees it — see :meth:`ScenarioService._compat_key`); each
-    result is still verified and wrapped per spec, so a served digest is
-    bit-identical to :func:`execute_spec` of the same request.
+    result is verified and wrapped per spec.
     """
     if not specs:
         return []
@@ -227,8 +220,10 @@ def execute_spec_batch(
 class ScenarioService:
     """Job intake, worker pool, and metrics — the serving facade.
 
-    ``runner`` defaults to :func:`execute_spec`; tests inject a stub to
-    exercise timeout/retry paths without real simulations.
+    ``runner`` maps a list of specs to one result per spec and defaults
+    to :func:`execute_spec_batch`; every job, coalesced or alone, runs
+    through it. Tests inject a stub to exercise timeout/retry paths
+    without real simulations.
 
     All accounting lives in a :class:`~repro.telemetry.MetricRegistry`
     — by default a fresh one per service, so sequentially constructed
@@ -241,26 +236,15 @@ class ScenarioService:
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
-        runner: Optional[Callable[[JobSpec], JobResult]] = None,
+        runner: Optional[Callable[[List[JobSpec]], List[JobResult]]] = None,
         registry: Optional[MetricRegistry] = None,
-        batch_runner: Optional[Callable[[list], list]] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        if runner is None:
-            self._runner = lambda spec: execute_spec(
-                spec, table_path=self.config.throughput_table_path
+        self._runner = runner or (
+            lambda specs: execute_spec_batch(
+                specs, table_path=self.config.throughput_table_path
             )
-            # The default runners pair up; a custom scalar runner without
-            # a matching batch_runner disables coalescing rather than
-            # running specs through a runner the test didn't supply.
-            self._batch_runner = batch_runner or (
-                lambda specs: execute_spec_batch(
-                    specs, table_path=self.config.throughput_table_path
-                )
-            )
-        else:
-            self._runner = runner
-            self._batch_runner = batch_runner
+        )
         self.queue = JobQueue(max_depth=self.config.queue_depth)
         self.cache = ResultCache(max_entries=self.config.cache_entries)
         self._lock = threading.RLock()
@@ -505,25 +489,13 @@ class ScenarioService:
             )
 
     def _worker_loop(self) -> None:
-        batching = (
-            self._batch_runner is not None and self.config.max_batch_size > 1
-        )
         while True:
-            if not batching:
-                job = self.queue.get()
-                if job is None:
-                    return
-                self._process(job)
-                continue
             jobs = self.queue.get_batch(
                 self.config.max_batch_size, self._compat_key
             )
             if jobs is None:
                 return
-            if len(jobs) == 1:
-                self._process(jobs[0])
-            else:
-                self._process_batch(jobs)
+            self._process_batch(jobs)
 
     def _compat_key(self, job: Job) -> object:
         """Jobs with equal keys may share one engine batch.
@@ -536,20 +508,21 @@ class ScenarioService:
         return (job.spec.engine,)
 
     def _process_batch(self, jobs: list) -> None:
-        """Run coalesced jobs through one batch attempt.
+        """Run dequeued jobs through one batch attempt.
 
         Admission (terminal-reclaim, deadline) mirrors :meth:`_process`
-        per job; settlement is per fingerprint, so followers that
-        coalesced onto any member while the batch ran are paid out
-        exactly as on the scalar path. Any batch-level failure falls
-        back to processing each job individually — a poison spec then
-        fails only its own job.
+        per job, and a lone runnable job goes to :meth:`_process` (with
+        its retries) as a batch of one. Settlement is per fingerprint,
+        so followers that coalesced onto any member while the batch ran
+        are paid out exactly as for a lone job. Any batch-level failure
+        falls back to processing each job individually — a poison spec
+        then fails only its own job.
         """
         runnable = []
         for job in jobs:
             if job.state.terminal:
-                # Cancelled while queued; promote live followers, as
-                # _process does, by letting the scalar path handle it.
+                # Cancelled while queued; _process promotes any live
+                # followers.
                 self._process(job)
                 continue
             if job.deadline_exceeded():
@@ -580,12 +553,7 @@ class ScenarioService:
             else:
                 timeout += per_job
         try:
-            results = self._run_batch_attempt(runnable, timeout)
-            if len(results) != len(runnable):
-                raise ServiceError(
-                    f"batch runner returned {len(results)} results "
-                    f"for {len(runnable)} jobs"
-                )
+            results = self._run_attempt(runnable, timeout)
         except Exception as exc:  # noqa: BLE001 — per-job fallback below
             _log.info(
                 "batch of %d jobs failed (%s: %s); falling back to "
@@ -593,7 +561,7 @@ class ScenarioService:
             )
             for job in runnable:
                 # The batch attempt didn't consume a per-job attempt:
-                # the scalar fallback re-counts from the same budget.
+                # the per-job fallback re-counts from the same budget.
                 job.attempts -= 1
                 self._process(job)
             return
@@ -602,31 +570,6 @@ class ScenarioService:
             self._batch_size_hist.observe(len(runnable))
         for job, result in zip(runnable, results):
             self._settle_success(job.spec.fingerprint, job, result)
-
-    def _run_batch_attempt(
-        self, jobs: list, timeout: Optional[float]
-    ) -> list:
-        specs = [job.spec for job in jobs]
-        if timeout is None:
-            return self._batch_runner(specs)
-        box: dict = {}
-
-        def target() -> None:
-            try:
-                box["result"] = self._batch_runner(specs)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-
-        thread = threading.Thread(
-            target=target, name=f"batch-{jobs[0].id}", daemon=True
-        )
-        thread.start()
-        thread.join(timeout)
-        if thread.is_alive():
-            raise JobTimeoutError(jobs[0].id, timeout)
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
 
     def _process(self, job: Job) -> None:
         fp = job.spec.fingerprint
@@ -662,7 +605,7 @@ class ScenarioService:
         while True:
             job.attempts += 1
             try:
-                result = self._run_attempt(job)
+                result = self._run_attempt([job], self._attempt_timeout(job))[0]
             except Exception as exc:  # noqa: BLE001 — classified below
                 if isinstance(exc, JobTimeoutError):
                     with self._lock:
@@ -706,28 +649,38 @@ class ScenarioService:
             timeout = remaining if timeout is None else min(timeout, remaining)
         return timeout
 
-    def _run_attempt(self, job: Job) -> JobResult:
-        timeout = self._attempt_timeout(job)
+    def _run_attempt(
+        self, jobs: List[Job], timeout: Optional[float]
+    ) -> List[JobResult]:
+        """One runner call for ``jobs``; ``timeout=None`` runs it inline
+        on the worker thread, otherwise on an abandonable helper."""
+        specs = [job.spec for job in jobs]
         if timeout is None:
-            return self._runner(job.spec)
-        box: dict = {}
+            results = self._runner(specs)
+        else:
+            box: dict = {}
 
-        def target() -> None:
-            try:
-                box["result"] = self._runner(job.spec)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
+            def target() -> None:
+                try:
+                    box["result"] = self._runner(specs)
+                except BaseException as exc:  # noqa: BLE001 — re-raised below
+                    box["error"] = exc
 
-        thread = threading.Thread(
-            target=target, name=f"attempt-{job.id}", daemon=True
-        )
-        thread.start()
-        thread.join(timeout)
-        if thread.is_alive():
-            raise JobTimeoutError(job.id, timeout)
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
+            thread = threading.Thread(
+                target=target, name=f"attempt-{jobs[0].id}", daemon=True
+            )
+            thread.start()
+            thread.join(timeout)
+            if thread.is_alive():
+                raise JobTimeoutError(jobs[0].id, timeout)
+            if "error" in box:
+                raise box["error"]
+            results = box["result"]
+        if len(results) != len(jobs):
+            raise ServiceError(
+                f"runner returned {len(results)} results for {len(jobs)} jobs"
+            )
+        return results
 
     def _settle_success(self, fp: str, job: Job, result: JobResult) -> None:
         _, followers = self.cache.settle(fp, result)

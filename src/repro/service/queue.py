@@ -91,15 +91,8 @@ class JobQueue:
     def get(self, timeout: Optional[float] = None) -> Optional[Job]:
         """Next job in lane-priority order; None on timeout or once the
         queue is closed *and* drained."""
-        with self._cond:
-            while True:
-                for lane in self.lanes:
-                    if self._queues[lane]:
-                        return self._queues[lane].popleft()
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout=timeout):
-                    return None
+        batch = self.get_batch(1, lambda job: None, timeout)
+        return batch[0] if batch else None
 
     def get_batch(
         self,
@@ -109,8 +102,8 @@ class JobQueue:
     ) -> Optional[List[Job]]:
         """Next job plus up to ``max_n - 1`` compatible followers.
 
-        The head job is chosen exactly as :meth:`get` chooses it (lane
-        priority, FIFO within the lane); followers are further jobs from
+        The head job is the next in lane priority, FIFO within the
+        lane (what :meth:`get` returns); followers are further jobs from
         the *same lane* whose ``compat_key`` equals the head's —
         coalescing never lets a batch-lane job overtake an interactive
         one, and never mixes jobs a single engine batch could not run
@@ -119,7 +112,7 @@ class JobQueue:
         whose key is ``None`` is returned alone (not batchable).
 
         Returns ``None`` on timeout or once the queue is closed and
-        drained, like :meth:`get`.
+        drained.
         """
         with self._cond:
             while True:

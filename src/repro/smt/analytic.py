@@ -103,6 +103,22 @@ class AnalyticModelConfig:
         check_in_range("damping", self.damping, 0.05, 1.0)
 
 
+def _chip_key(core_states) -> tuple:
+    """The chip memo key: per core ``(load_a, load_b, prio_a, prio_b)``
+    with loads by profile name."""
+    if not core_states:
+        raise ConfigurationError("chip_ipc needs at least one core state")
+    return tuple(
+        (
+            pa.name if pa else None,
+            pb.name if pb else None,
+            int(xa),
+            int(xb),
+        )
+        for (pa, pb, xa, xb) in core_states
+    )
+
+
 class _ProfileConsts:
     """Precomputed per-profile solver inputs (mix order preserved)."""
 
@@ -432,17 +448,7 @@ class AnalyticThroughputModel:
         structure revisits the same machine states constantly, so the
         runtime's rate recomputation usually resolves to one lookup.
         """
-        if not core_states:
-            raise ConfigurationError("chip_ipc needs at least one core state")
-        key = tuple(
-            (
-                pa.name if pa else None,
-                pb.name if pb else None,
-                int(xa),
-                int(xb),
-            )
-            for (pa, pb, xa, xb) in core_states
-        )
+        key = _chip_key(core_states)
         hit = self._chip_cache.get(key)
         if hit is not None:
             return hit
@@ -474,8 +480,10 @@ class AnalyticThroughputModel:
 
         Bit-identical to looping :meth:`core_ipc` — same keys, same pure
         solve — the only difference is that misses are solved as one
-        numpy stack (or a scalar loop when numpy is unavailable).
+        numpy stack.
         """
+        from repro.smt.vectorized import solve_stack
+
         out: list = [None] * len(queries)
         misses: Dict[tuple, list] = {}
         for qi, (pa, pb, prio_a, prio_b, ext) in enumerate(queries):
@@ -493,15 +501,7 @@ class AnalyticThroughputModel:
                 misses.setdefault(key, []).append(qi)
         if misses:
             pending = [queries[indices[0]] for indices in misses.values()]
-            try:
-                from repro.smt.vectorized import solve_stack
-            except ImportError:  # pragma: no cover - numpy-less fallback
-                solved = [
-                    self._solve(pa, pb, int(xa), int(xb), float(ext))
-                    for (pa, pb, xa, xb, ext) in pending
-                ]
-            else:
-                solved = solve_stack(self, pending)
+            solved = solve_stack(self, pending)
             for key, value in zip(misses, solved):
                 self._cache.put(key, value)
                 for qi in misses[key]:
@@ -517,44 +517,36 @@ class AnalyticThroughputModel:
         sweep runs stage-parallel across the independent chip states,
         which is sound because the core solve is a pure function of its
         query (exact memo keys), so the per-state traffic sequence never
-        depends on what else is in the stack. Results land in the same
-        memo caches scalar queries use.
+        depends on what else is in the stack. Repeated states are looked
+        up and solved once per call. Results land in the same memo
+        caches scalar queries use.
         """
-        chip_states = list(chip_states)
-        out: list = [None] * len(chip_states)
-        pending: list = []  # (output index, core_states, chip key)
-        for si, core_states in enumerate(chip_states):
-            if not core_states:
-                raise ConfigurationError(
-                    "chip_ipc needs at least one core state"
-                )
-            key = tuple(
-                (
-                    pa.name if pa else None,
-                    pb.name if pb else None,
-                    int(xa),
-                    int(xb),
-                )
-                for (pa, pb, xa, xb) in core_states
-            )
+        keys = []
+        solved: Dict[tuple, Tuple[Tuple[float, float], ...]] = {}
+        pending: Dict[tuple, tuple] = {}  # chip key -> core_states (misses)
+        for core_states in chip_states:
+            key = _chip_key(core_states)
+            keys.append(key)
+            if key in solved or key in pending:
+                continue
             hit = self._chip_cache.get(key)
             if hit is not None:
-                out[si] = hit
+                solved[key] = hit
             else:
-                pending.append((si, core_states, key))
+                pending[key] = core_states
         if not pending:
-            return out
+            return [solved[key] for key in keys]
 
         queries = [
             (pa, pb, xa, xb, 0.0)
-            for (_si, core_states, _key) in pending
+            for core_states in pending.values()
             for (pa, pb, xa, xb) in core_states
         ]
         results = self._core_ipc_batch(queries)
         for _ in range(2):
             queries = []
             cursor = 0
-            for _si, core_states, _key in pending:
+            for core_states in pending.values():
                 span = results[cursor:cursor + len(core_states)]
                 cursor += len(core_states)
                 traffics = []
@@ -573,12 +565,12 @@ class AnalyticThroughputModel:
             results = self._core_ipc_batch(queries)
 
         cursor = 0
-        for si, core_states, key in pending:
+        for key, core_states in pending.items():
             span = tuple(results[cursor:cursor + len(core_states)])
             cursor += len(core_states)
             self._chip_cache.put(key, span)
-            out[si] = span
-        return out
+            solved[key] = span
+        return [solved[key] for key in keys]
 
     # -- cache accounting -------------------------------------------------------
 

@@ -35,9 +35,6 @@ the traffic changing, and repeated service batches reuse it outright.
 ``tests/smt/test_vectorized.py`` pins the equality exhaustively, and
 the batch-vs-scalar engine suite (``tests/scenarios/
 test_batch_equivalence.py``) pins it end-to-end through trace digests.
-
-numpy is an optional accelerator: callers (the model's
-``chip_ipc_stack``) fall back to the scalar solver when it is missing.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ def check_positive(name: str, value: float) -> None:
 def check_non_negative(name: str, value: float) -> None:
     """Raise unless ``value`` is a number greater than or equal to zero."""
     check_type(name, value, (int, float))
-    if value < 0:
+    if not value >= 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
 
 

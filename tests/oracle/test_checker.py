@@ -15,7 +15,7 @@ from repro.oracle.checker import (
     verify_run,
     verify_trace,
 )
-from repro.oracle.differential import run_fluid
+from repro.scenarios import get_engine
 from repro.workloads.generators import barrier_loop_programs
 
 
@@ -41,12 +41,16 @@ class TestPostHocSweeps:
         assert verify_decode_law().ok
 
     def test_clean_run_passes_run_and_trace_sweeps(self, oracle_scenario):
-        result = run_fluid(oracle_scenario)
+        result = get_engine("fluid").run(
+            oracle_scenario, label=f"oracle.{oracle_scenario.name}"
+        ).run
         assert verify_run(result).ok
         assert verify_trace(result.trace).ok
 
     def test_collecting_mode_gathers_instead_of_raising(self, oracle_scenario):
-        result = run_fluid(oracle_scenario)
+        result = get_engine("fluid").run(
+            oracle_scenario, label=f"oracle.{oracle_scenario.name}"
+        ).run
         # Tamper post-hoc: a non-physical execution time.
         bad = dataclasses.replace(result, total_time=-1.0)
         checker = InvariantChecker(strict=False)
@@ -55,7 +59,9 @@ class TestPostHocSweeps:
         assert any(v.invariant == "run.accounting" for v in report.violations)
 
     def test_strict_mode_raises_on_first_violation(self, oracle_scenario):
-        result = run_fluid(oracle_scenario)
+        result = get_engine("fluid").run(
+            oracle_scenario, label=f"oracle.{oracle_scenario.name}"
+        ).run
         bad = dataclasses.replace(result, final_priorities=(9, 4, 4, 4))
         with pytest.raises(InvariantViolation) as exc:
             verify_run(bad)
@@ -65,8 +71,14 @@ class TestPostHocSweeps:
 class TestLiveRuntimeChecker:
     def test_checked_run_matches_unchecked_run_exactly(self, oracle_scenario):
         """The live oracle observes; it must never perturb the physics."""
-        plain = run_fluid(oracle_scenario, check_invariants=False)
-        checked = run_fluid(oracle_scenario, check_invariants=True)
+        fluid = get_engine("fluid")
+        label = f"oracle.{oracle_scenario.name}"
+        plain = fluid.run(
+            oracle_scenario, label=label, options={"check_invariants": False}
+        ).run
+        checked = fluid.run(
+            oracle_scenario, label=label, options={"check_invariants": True}
+        ).run
         assert checked.total_time == plain.total_time
         assert checked.events_processed == plain.events_processed
 

@@ -4,24 +4,21 @@ import pytest
 
 from repro.errors import ConfigurationError, ValidationError
 from repro.oracle.differential import (
-    Scenario,
     ScenarioGenerator,
     Tolerances,
-    analytic_estimate,
     check_conformance,
     fast_cycle_table,
     fuzz,
-    run_cycle,
-    run_fluid,
     trace_digest,
 )
+from repro.scenarios import ScenarioSpec, get_engine
 
 
 class TestScenario:
     def test_round_trips_through_doc(self, oracle_scenario):
         doc = oracle_scenario.to_doc()
-        assert Scenario.from_doc(doc) == oracle_scenario
-        assert Scenario.from_doc(doc).fingerprint == oracle_scenario.fingerprint
+        assert ScenarioSpec.from_doc(doc) == oracle_scenario
+        assert ScenarioSpec.from_doc(doc).fingerprint == oracle_scenario.fingerprint
 
     def test_fingerprint_is_content_addressed(self, oracle_scenario):
         import dataclasses
@@ -31,11 +28,11 @@ class TestScenario:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            Scenario(name="x", kind="quantum", works=(1e9,), iterations=1)
+            ScenarioSpec(name="x", kind="quantum", works=(1e9,), iterations=1)
         with pytest.raises(ConfigurationError):
-            Scenario(name="x", kind="metbench", works=(), iterations=1)
+            ScenarioSpec(name="x", kind="metbench", works=(), iterations=1)
         with pytest.raises(ConfigurationError):
-            Scenario(
+            ScenarioSpec(
                 name="x", kind="metbench", works=(1e9,), iterations=1,
                 priorities=((0, 7),),  # 7 is not OS-settable
             )
@@ -45,39 +42,46 @@ class TestScenario:
         # now raise the typed ValidationError (still a ValueError, and
         # still a ReproError like OracleError was).
         with pytest.raises(ValidationError):
-            Scenario.from_doc({"name": "x"})
+            ScenarioSpec.from_doc({"name": "x"})
 
-    def test_scenario_is_the_canonical_spec(self):
-        from repro.scenarios import ScenarioSpec
 
-        assert Scenario is ScenarioSpec
+def fluid_digest(spec, **options) -> str:
+    run = get_engine("fluid").run(
+        spec, label=f"oracle.{spec.name}", options=options
+    ).run
+    return trace_digest(run)
 
 
 class TestTraceDigest:
     def test_same_scenario_same_digest(self, oracle_scenario):
-        a = run_fluid(oracle_scenario)
-        b = run_fluid(oracle_scenario)
-        assert trace_digest(a) == trace_digest(b)
+        assert fluid_digest(oracle_scenario) == fluid_digest(oracle_scenario)
 
     def test_different_physics_different_digest(self, oracle_scenario):
         import dataclasses
 
-        a = run_fluid(oracle_scenario)
-        b = run_fluid(dataclasses.replace(oracle_scenario, priorities=()))
-        assert trace_digest(a) != trace_digest(b)
+        a = fluid_digest(oracle_scenario)
+        b = fluid_digest(dataclasses.replace(oracle_scenario, priorities=()))
+        assert a != b
 
     def test_incremental_rates_toggle_is_digest_invisible(self, oracle_scenario):
-        on = run_fluid(oracle_scenario, incremental_rates=True)
-        off = run_fluid(oracle_scenario, incremental_rates=False)
-        assert trace_digest(on) == trace_digest(off)
+        on = fluid_digest(oracle_scenario, incremental_rates=True)
+        off = fluid_digest(oracle_scenario, incremental_rates=False)
+        assert on == off
 
 
 class TestModelPaths:
     def test_three_paths_agree_within_declared_tolerances(self, oracle_scenario):
         tol = Tolerances()
-        fluid = run_fluid(oracle_scenario)
-        cycle = run_cycle(oracle_scenario, table=fast_cycle_table())
-        estimate = analytic_estimate(oracle_scenario)
+        name = oracle_scenario.name
+        fluid = get_engine("fluid").run(
+            oracle_scenario, label=f"oracle.{name}"
+        ).run
+        cycle = get_engine("cycle").run(
+            oracle_scenario,
+            label=f"oracle.{name}.cycle",
+            options={"table": fast_cycle_table()},
+        ).run
+        estimate = get_engine("analytic").run(oracle_scenario).total_time
         ratio = fluid.total_time / cycle.total_time
         assert 1.0 / tol.model_time_ratio <= ratio <= tol.model_time_ratio
         assert (

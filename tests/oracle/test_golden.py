@@ -7,13 +7,13 @@ import pytest
 
 from repro.errors import GoldenMismatchError, OracleError
 from repro.oracle import golden
-from repro.oracle.differential import Scenario
+from repro.scenarios import ScenarioSpec
 
 REPO_GOLDEN_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "golden"
 )
 
-SMALL = Scenario(
+SMALL = ScenarioSpec(
     name="tiny-golden",
     kind="barrier_loop",
     works=(4.0e8, 9.0e8),
@@ -112,7 +112,7 @@ class TestRepoGoldens:
 
     def test_batch_replay_bit_exact(self):
         """All goldens through one run_batch call: the batch-path twin of
-        the scalar replay, guarding the vectorized presolve."""
+        the scalar replay, guarding the shared warm memo a batch reuses."""
         outcomes = golden.check_all_batch(REPO_GOLDEN_DIR)
         assert len(outcomes) == len(golden.golden_paths(REPO_GOLDEN_DIR))
         for outcome in outcomes:

@@ -213,7 +213,7 @@ class TestBatchProtocol:
     def test_every_engine_declares_batch_strategy(self):
         strategies = {e.name: e.batch_strategy for e in all_engines()}
         assert strategies == {
-            "fluid": "vectorized",
+            "fluid": "loop",
             "analytic": "vectorized",
             "cycle": "shared-table",
         }

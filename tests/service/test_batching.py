@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.oracle.differential import Scenario, run_fluid, trace_digest
+from repro.scenarios import ScenarioSpec
 from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import Job, JobResult, JobSpec, JobState, RetryPolicy
 from repro.service.queue import JobQueue
@@ -26,7 +26,7 @@ WAIT = 30.0  # generous terminal-state wait; loaded CI machines are slow
 def spec_for(name: str, **spec_kwargs) -> JobSpec:
     spec_kwargs.setdefault("lane", "batch")
     return JobSpec(
-        scenario=Scenario(
+        scenario=ScenarioSpec(
             name=name, kind="barrier_loop", works=(1.0e9, 2.0e9), iterations=1
         ),
         **spec_kwargs,
@@ -107,45 +107,38 @@ class TestQueueGetBatch:
 
 
 class _Harness:
-    """One-worker service with a gate job: while the gate's scalar run
-    blocks, submissions pile up in the queue and the *next* dequeue is a
+    """One-worker service with a gate job: while the gate's run blocks,
+    submissions pile up in the queue and the *next* dequeue is a
     deterministic batch."""
 
     def __init__(self, **config_kwargs):
-        self.calls = []          # fingerprints run by the scalar runner
-        self.batches = []        # spec-name lists per batch_runner call
+        self.calls = []          # fingerprints the runner completed
+        self.batches = []        # spec-name lists, one per runner call
         self.gate_running = threading.Event()
         self.release_gate = threading.Event()
         self.batch_started = threading.Event()
         self.release_batch = threading.Event()
         self.fail_names = set()
-        self.fail_batches = 0
         config_kwargs.setdefault("workers", 1)
         config_kwargs.setdefault(
             "retry", RetryPolicy(max_retries=0, base_s=0.01, max_backoff_s=0.05)
         )
         self.service = ScenarioService(
-            ServiceConfig(**config_kwargs),
-            runner=self._runner,
-            batch_runner=self._batch_runner,
+            ServiceConfig(**config_kwargs), runner=self._runner
         )
 
-    def _runner(self, spec):
-        self.calls.append(spec.fingerprint)
-        if spec.scenario.name == "gate":
+    def _runner(self, specs):
+        names = [s.scenario.name for s in specs]
+        self.batches.append(names)
+        if "gate" in names:
             self.gate_running.set()
             assert self.release_gate.wait(WAIT)
-        if spec.scenario.name in self.fail_names:
-            raise ValueError(f"poison spec {spec.scenario.name}")
-        return stub_result(spec)
-
-    def _batch_runner(self, specs):
-        self.batches.append([s.scenario.name for s in specs])
-        self.batch_started.set()
-        assert self.release_batch.wait(WAIT)
-        if self.fail_batches > 0:
-            self.fail_batches -= 1
-            raise ValueError("batch attempt rejected")
+        if len(specs) > 1:
+            self.batch_started.set()
+            assert self.release_batch.wait(WAIT)
+        poison = self.fail_names.intersection(names)
+        if poison:
+            raise ValueError(f"poison spec {sorted(poison)[0]}")
         self.calls.extend(s.fingerprint for s in specs)
         return [stub_result(s) for s in specs]
 
@@ -168,7 +161,7 @@ class TestServiceBatching:
             )
             for job in jobs:
                 assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
-            assert h.batches == [["a", "b", "c"]]
+            assert h.batches == [["gate"], ["a", "b", "c"]]
             for job in jobs:
                 assert job.source == "computed"
                 assert job.result.fingerprint == job.spec.fingerprint
@@ -185,15 +178,13 @@ class TestServiceBatching:
             ])
             for job in jobs:
                 assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
-            # One fluid batch; the cycle job ran scalar on its own.
-            assert h.batches == [["a", "b"]]
-            assert jobs[1].spec.fingerprint in h.calls
+            # One analytic batch; the cycle job ran as a batch of one.
+            assert h.batches == [["gate"], ["a", "b"], ["c"]]
 
     def test_poison_spec_fails_only_its_own_job(self):
         h = _Harness()
         h.release_batch.set()
-        h.fail_batches = 1          # the coalesced attempt blows up...
-        h.fail_names = {"poison"}   # ...because of this spec, on replay too
+        h.fail_names = {"poison"}   # the coalesced attempt blows up
         with h.service as service:
             _, jobs = h.open_gate_and_queue(
                 [spec_for(n) for n in ("a", "poison", "b")]
@@ -207,12 +198,52 @@ class TestServiceBatching:
                 "poison": JobState.FAILED,
                 "b": JobState.DONE,
             }
+            # The failed batch fell back to one batch of one per job.
+            assert h.batches == [
+                ["gate"], ["a", "poison", "b"], ["a"], ["poison"], ["b"],
+            ]
             by_name = {job.spec.scenario.name: job for job in jobs}
             assert "poison spec" in by_name["poison"].error
             # The failed batch attempt was refunded: survivors show one
-            # consumed attempt (the scalar fallback), not two.
+            # consumed attempt (the per-job fallback), not two.
             assert by_name["a"].attempts == 1
             assert by_name["a"].result.fingerprint == jobs[0].spec.fingerprint
+
+    def test_passed_deadline_drops_out_of_the_batch(self):
+        h = _Harness()
+        h.release_batch.set()
+        with h.service as service:
+            gate = service.submit(spec_for("gate"))
+            assert h.gate_running.wait(WAIT)
+            a = service.submit(spec_for("a"))
+            late = service.submit(spec_for("late", deadline_s=0.05))
+            time.sleep(0.2)
+            h.release_gate.set()
+            for job in (gate, a, late):
+                service.wait(job.id, timeout=WAIT)
+            assert a.state is JobState.DONE
+            assert late.state is JobState.FAILED
+            assert "deadline" in late.error
+            assert h.batches == [["gate"], ["a"]]
+
+    def test_cancelled_leader_promotes_its_follower(self):
+        h = _Harness()
+        h.release_batch.set()
+        with h.service as service:
+            gate = service.submit(spec_for("gate"))
+            assert h.gate_running.wait(WAIT)
+            a = service.submit(spec_for("a"))
+            follower = service.submit(spec_for("a"))
+            b = service.submit(spec_for("b"))
+            assert service.cancel(a.id).state is JobState.CANCELLED
+            h.release_gate.set()
+            for job in (gate, follower, b):
+                assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
+            # The cancelled leader's follower ran in its place, alone.
+            assert follower.source == "computed"
+            assert follower.attempts == 1
+            assert a.state is JobState.CANCELLED
+            assert h.batches == [["gate"], ["a"], ["b"]]
 
     def test_batch_telemetry_counts_batches_and_sizes(self):
         h = _Harness()
@@ -234,23 +265,8 @@ class TestServiceBatching:
             _, jobs = h.open_gate_and_queue([spec_for(n) for n in ("a", "b")])
             for job in jobs:
                 assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
-            assert h.batches == []
-
-    def test_custom_runner_without_batch_runner_disables_coalescing(self):
-        calls = []
-
-        def runner(spec):
-            calls.append(spec.scenario.name)
-            return stub_result(spec)
-
-        service = ScenarioService(
-            ServiceConfig(workers=1), runner=runner
-        )
-        with service:
-            jobs = [service.submit(spec_for(n)) for n in ("a", "b")]
-            for job in jobs:
-                assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
-        assert sorted(calls) == ["a", "b"]
+            assert h.batches == [["gate"], ["a"], ["b"]]
+            assert not h.batch_started.is_set()
 
     def test_max_batch_size_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="max_batch_size"):
@@ -297,4 +313,4 @@ class TestClaimDuringRunningBatch:
             hit = service.submit(spec_for("a"))
             assert hit.source == "cache" and hit.state is JobState.DONE
             assert service.queue.depth() == depth_after
-            assert h.batches == [["a", "b"]]
+            assert h.batches == [["gate"], ["a", "b"]]

@@ -2,7 +2,7 @@
 
 Fast paths use a stub ``runner`` so scheduling behaviour is tested
 without real simulations; the digest-equality tests at the bottom run
-the real executor against direct ``run_fluid``/``run_case`` calls.
+the real executor against direct engine runs and ``run_case`` calls.
 """
 
 import threading
@@ -19,7 +19,8 @@ from repro.errors import (
 from repro.experiments.cases import metbench_suite
 from repro.experiments.runner import run_case
 from repro.machine.system import System, SystemConfig
-from repro.oracle.differential import Scenario, run_fluid, trace_digest
+from repro.oracle.differential import trace_digest
+from repro.scenarios import ScenarioSpec, get_engine
 from repro.service.executor import (
     ScenarioService,
     ServiceConfig,
@@ -33,7 +34,7 @@ WAIT = 30.0  # generous terminal-state wait; loaded CI machines are slow
 
 def spec_for(name: str, **spec_kwargs) -> JobSpec:
     return JobSpec(
-        scenario=Scenario(
+        scenario=ScenarioSpec(
             name=name, kind="barrier_loop", works=(1.0e9, 2.0e9), iterations=1
         ),
         **spec_kwargs,
@@ -56,11 +57,19 @@ def stub_result(spec: JobSpec) -> JobResult:
 
 
 def make_service(runner, **config_kwargs) -> ScenarioService:
+    """A service whose runner applies the per-spec stub ``runner`` to
+    each spec of a batch. Coalescing is off by default, so every job
+    here is its own batch of one and the per-job scheduling under test
+    is deterministic."""
     config_kwargs.setdefault("workers", 2)
+    config_kwargs.setdefault("max_batch_size", 1)
     config_kwargs.setdefault(
         "retry", RetryPolicy(max_retries=2, base_s=0.01, max_backoff_s=0.05)
     )
-    return ScenarioService(ServiceConfig(**config_kwargs), runner=runner)
+    return ScenarioService(
+        ServiceConfig(**config_kwargs),
+        runner=lambda specs: [runner(spec) for spec in specs],
+    )
 
 
 class TestCoalescing:
@@ -313,7 +322,9 @@ class TestRealExecution:
         ) as service:
             job = service.run(spec, timeout=120.0)
             assert job.state is JobState.DONE, job.error
-            direct = run_fluid(oracle_scenario)
+            direct = get_engine("fluid").run(
+                oracle_scenario, label=f"oracle.{oracle_scenario.name}"
+            ).run
             assert job.result.digest == trace_digest(direct)
             assert job.result.total_time == direct.total_time
             assert job.result.imbalance_percent == direct.imbalance_percent

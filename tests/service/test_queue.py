@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
-from repro.oracle.differential import Scenario
+from repro.scenarios import ScenarioSpec
 from repro.service.jobs import Job, JobSpec
 from repro.service.queue import JobQueue
 
@@ -11,7 +11,7 @@ from repro.service.queue import JobQueue
 def job(name: str, lane: str = "batch") -> Job:
     return Job(
         spec=JobSpec(
-            scenario=Scenario(
+            scenario=ScenarioSpec(
                 name=name, kind="barrier_loop", works=(1.0e9,), iterations=1
             ),
             lane=lane,

@@ -8,7 +8,8 @@ import urllib.request
 
 import pytest
 
-from repro.oracle.differential import run_fluid, trace_digest
+from repro.oracle.differential import trace_digest
+from repro.scenarios import get_engine
 from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import JobResult, JobSpec, RetryPolicy
 from repro.service.server import make_server
@@ -67,7 +68,10 @@ class TestEndToEnd:
         status, doc, _ = request("POST", f"{base}/v1/jobs?wait={WAIT}", body)
         assert status == 200
         assert doc["state"] == "done", doc.get("error")
-        direct = run_fluid(JobSpec.from_doc(body).scenario)
+        scenario = JobSpec.from_doc(body).scenario
+        direct = get_engine("fluid").run(
+            scenario, label=f"oracle.{scenario.name}"
+        ).run
         assert doc["result"]["digest"] == trace_digest(direct)
         assert doc["result"]["total_time"] == direct.total_time
         # The result document round-trips through the typed layer.
@@ -180,14 +184,17 @@ class TestProtocol:
     def test_backpressure_is_429_with_retry_after(self, live_server):
         release = threading.Event()
 
-        def runner(spec):
+        def runner(specs):
             assert release.wait(WAIT)
-            return JobResult(
-                fingerprint=spec.fingerprint, digest="d" * 64,
-                label=spec.label, model=spec.model, total_time=1.0,
-                imbalance_percent=0.0, events_processed=1,
-                final_priorities=(4,), ranks=(), compute_seconds=0.001,
-            )
+            return [
+                JobResult(
+                    fingerprint=spec.fingerprint, digest="d" * 64,
+                    label=spec.label, model=spec.model, total_time=1.0,
+                    imbalance_percent=0.0, events_processed=1,
+                    final_priorities=(4,), ranks=(), compute_seconds=0.001,
+                )
+                for spec in specs
+            ]
 
         service = ScenarioService(
             ServiceConfig(workers=1, queue_depth=1,
@@ -213,16 +220,22 @@ class TestProtocol:
     def test_cancel_via_delete(self, live_server):
         release = threading.Event()
 
-        def runner(spec):
+        def runner(specs):
             assert release.wait(WAIT)
-            return JobResult(
-                fingerprint=spec.fingerprint, digest="d" * 64,
-                label=spec.label, model=spec.model, total_time=1.0,
-                imbalance_percent=0.0, events_processed=1,
-                final_priorities=(4,), ranks=(), compute_seconds=0.001,
-            )
+            return [
+                JobResult(
+                    fingerprint=spec.fingerprint, digest="d" * 64,
+                    label=spec.label, model=spec.model, total_time=1.0,
+                    imbalance_percent=0.0, events_processed=1,
+                    final_priorities=(4,), ranks=(), compute_seconds=0.001,
+                )
+                for spec in specs
+            ]
 
-        service = ScenarioService(ServiceConfig(workers=1), runner=runner)
+        # No coalescing: the victim must stay queued behind the blocker.
+        service = ScenarioService(
+            ServiceConfig(workers=1, max_batch_size=1), runner=runner
+        )
         base = live_server(service)
         try:
             request("POST", f"{base}/v1/jobs",

@@ -137,6 +137,13 @@ class TestChipIpcStack:
         state = self._random_states(1, seed=5)[0]
         out = model.chip_ipc_stack([state, state, state])
         assert out[0] == out[1] == out[2]
+        # The stack dedupes repeated states itself: one chip-memo lookup
+        # (a miss), one solve, and the same memo work as a lone state.
+        chip_stats = model._chip_cache.stats()
+        assert (chip_stats.hits, chip_stats.misses, chip_stats.size) == (0, 1, 1)
+        single = AnalyticThroughputModel()
+        assert single.chip_ipc_stack([state]) == [out[0]]
+        assert single.cache_stats() == model.cache_stats()
 
     def test_empty_core_state_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -78,8 +78,19 @@ class TestNumericChecks:
 
     def test_non_negative(self):
         check_non_negative("n", 0)
+        check_non_negative("n", float("inf"))
         with pytest.raises(ConfigurationError):
             check_non_negative("n", -1e-9)
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="n must be >= 0, got nan"):
+            check_non_negative("n", float("nan"))
+        with pytest.raises(ConfigurationError, match="n must be > 0, got nan"):
+            check_positive("n", float("nan"))
+        with pytest.raises(ConfigurationError):
+            check_in_range("x", float("nan"), 0, 1)
+        with pytest.raises(ConfigurationError):
+            check_probability("p", float("nan"))
 
     def test_in_range_inclusive(self):
         check_in_range("x", 0, 0, 1)
