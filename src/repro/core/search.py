@@ -391,6 +391,11 @@ def candidate_mappings(
     CPU tuple. The canonical representative is the lexicographic minimum
     of its class, so for tied objective values a stable ranking picks
     the same physics with or without pruning.
+
+    Pruned, a depth-first walk builds the representatives directly —
+    rank ``r`` joins an open one-rank core's odd context or opens the
+    next core's even context, in ascending CPU order — at a cost linear
+    in the output (25 mappings for 5 ranks on 4 cores, not 6,720).
     """
     if n_cores <= 0:
         raise ConfigurationError(f"n_cores must be > 0, got {n_cores}")
@@ -400,13 +405,24 @@ def candidate_mappings(
             f"n_ranks must be in 1..{n_cpus} on a {n_cores}-core chip, "
             f"got {n_ranks}"
         )
-    out: List[ProcessMapping] = []
-    for cpus in itertools.permutations(range(n_cpus), n_ranks):
-        mapping = ProcessMapping(tuple(enumerate(cpus)))
-        if prune_symmetry and not mapping.is_canonical():
-            continue
-        out.append(mapping)
-    return out
+    if not prune_symmetry:
+        return [
+            ProcessMapping(tuple(enumerate(cpus)))
+            for cpus in itertools.permutations(range(n_cpus), n_ranks)
+        ]
+
+    def walk(cpus: Tuple[int, ...], opened: int, singles: Tuple[int, ...]):
+        if len(cpus) == n_ranks:
+            yield ProcessMapping(tuple(enumerate(cpus)))
+            return
+        for i, core in enumerate(singles):
+            yield from walk(
+                cpus + (2 * core + 1,), opened, singles[:i] + singles[i + 1:]
+            )
+        if opened < n_cores:
+            yield from walk(cpus + (2 * opened,), opened + 1, singles + (opened,))
+
+    return list(walk((), 0, ()))
 
 
 def joint_search(

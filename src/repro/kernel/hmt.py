@@ -46,6 +46,14 @@ class Actor(enum.Enum):
         }[self]
 
 
+#: The levels each actor may set (paper Table I), tabulated once so the
+#: write gate is a set lookup.
+_ALLOWED = {
+    actor: frozenset(p for p in HardwarePriority if can_set_priority(actor.privilege, p))
+    for actor in Actor
+}
+
+
 @dataclass(frozen=True)
 class PriorityWrite:
     """Audit record of one successful priority write."""
@@ -83,8 +91,10 @@ class HmtController:
             semantics use :meth:`try_set_priority`).
         """
         prio = validate_priority(priority)
-        if not can_set_priority(actor.privilege, int(prio)):
-            raise PrivilegeError(actor.value, int(prio), _allowed_str(actor))
+        allowed = _ALLOWED[actor]
+        if prio not in allowed:
+            span = f"{int(min(allowed))}-{int(max(allowed))}"
+            raise PrivilegeError(actor.value, int(prio), span)
         self.chip.set_priority(cpu, int(prio))
         self.history.append(PriorityWrite(time, cpu, int(prio), actor, via))
 
@@ -136,11 +146,3 @@ class HmtController:
             if cpu is None or w.cpu == cpu:
                 return w
         return None
-
-
-def _allowed_str(actor: Actor) -> str:
-    return {
-        Actor.USER: "2-4",
-        Actor.OS: "1-6",
-        Actor.HYPERVISOR: "0-7",
-    }[actor]

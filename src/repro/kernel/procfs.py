@@ -65,7 +65,9 @@ class ProcFs:
             prio = int(value.strip())
         except ValueError:
             raise InvalidPriorityError(value) from None
-        pid = self._resolve(path)
+        self._set(self._resolve(path), prio, time)
+
+    def _set(self, pid: int, prio: int, time: float) -> None:
         cpu = self._scheduler.cpu_of(pid)
         self._hmt.set_priority(cpu, prio, Actor.OS, time=time, via="procfs")
 
@@ -76,5 +78,10 @@ class ProcFs:
         return f"{int(self._hmt.read_tsr(cpu))}\n"
 
     def set_priority_of_pid(self, pid: int, priority: int, time: float = 0.0) -> None:
-        """Convenience wrapper used by balancers: write via the pseudo-file."""
-        self.write(self.path_for(pid), str(priority), time=time)
+        """Convenience wrapper used by balancers: :meth:`write` to ``pid``'s
+        pseudo-file. A plain ``int`` priority for a known plain ``int`` pid
+        skips formatting and re-parsing the text; the outcome is the same."""
+        if (type(priority) is not int or type(pid) is not int or pid < 0
+                or pid not in self._scheduler):
+            return self.write(self.path_for(pid), str(priority), time=time)
+        self._set(pid, priority, time)

@@ -45,6 +45,7 @@ unchanged. Under a topology, explicit mappings address *global* CPUs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -145,7 +146,8 @@ def _freeze_mapping(
     return pairs
 
 #: Extra workload knobs each kind accepts in ``params``. A "works"
-#: parameter is a per-rank tuple the same length as ``works``.
+#: parameter is a per-rank tuple the same length as ``works``; a "bytes"
+#: parameter is an int >= 0.
 _PARAM_SCHEMA: Dict[str, Dict[str, str]] = {
     "barrier_loop": {},
     "metbench": {},
@@ -156,9 +158,9 @@ _PARAM_SCHEMA: Dict[str, Dict[str, str]] = {
         "jitter_sigma": "number",
         "rotate_prob": "probability",
         "workload_seed": "int",
-        "allreduce_bytes": "int",
+        "allreduce_bytes": "bytes",
     },
-    "distant_pairs": {"exchange_bytes": "int"},
+    "distant_pairs": {"exchange_bytes": "bytes"},
 }
 
 #: ``params`` keys the siesta program factory cannot default.
@@ -254,6 +256,8 @@ class ScenarioSpec:
         check_positive("scenario.iterations", self.iterations)
         if not self.works:
             raise ConfigurationError(f"scenario {self.name!r} has no works")
+        if not all(0.0 <= w < math.inf for w in self.works):
+            raise ConfigurationError(f"scenario {self.name!r}: works must be finite and >= 0")
         if self.topology is not None and len(self.works) > machine_cpus:
             raise ConfigurationError(
                 f"scenario {self.name!r}: {len(self.works)} ranks exceed the "
@@ -314,10 +318,10 @@ class ScenarioSpec:
                         f"scenario {self.name!r}: param {key!r} must be a "
                         f"{self.n_ranks}-long work tuple, got {value!r}"
                     )
-                if any(w <= 0 for w in value):
+                if not all(0.0 < w < math.inf for w in value):
                     raise ConfigurationError(
                         f"scenario {self.name!r}: param {key!r} has "
-                        "non-positive work"
+                        "non-positive or non-finite work"
                     )
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigurationError(
@@ -329,15 +333,15 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: param {key!r} must be in "
                     f"[0, 1], got {value!r}"
                 )
-            elif shape == "int" and not isinstance(value, int):
+            elif shape in ("int", "bytes") and not isinstance(value, int):
                 raise ConfigurationError(
                     f"scenario {self.name!r}: param {key!r} must be an "
                     f"int, got {value!r}"
                 )
-            elif shape == "number" and value < 0:
+            elif shape in ("number", "bytes") and not 0 <= value < math.inf:
                 raise ConfigurationError(
-                    f"scenario {self.name!r}: param {key!r} must be >= 0, "
-                    f"got {value!r}"
+                    f"scenario {self.name!r}: param {key!r} must be finite "
+                    f"and >= 0, got {value!r}"
                 )
         if self.kind == "siesta":
             have = {k for k, _ in self.params}
@@ -566,6 +570,8 @@ class ScenarioSpec:
                 params=_freeze_params(params),
                 topology=topology,
             )
+        except ConfigurationError as exc:
+            raise ValidationError(f"invalid scenario document: {exc}") from exc
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ValidationError):
                 raise

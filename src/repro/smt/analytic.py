@@ -295,7 +295,8 @@ class AnalyticThroughputModel:
 
     def _off_l1_rate(self, profile: LoadProfile, ipc: float) -> float:
         """Off-L1 accesses per cycle generated by a thread at ``ipc``."""
-        return ipc * profile.memory_fraction * profile.l1_miss_rate
+        c = self._profile_consts(profile)
+        return ipc * c.mem_frac * c.l1_miss
 
     def _decode_share(self, prio_a: int, prio_b: int) -> Tuple[float, float]:
         hit = self._share_cache.get((prio_a, prio_b))

@@ -85,12 +85,15 @@ class Power5Chip:
 
     # -- addressing -----------------------------------------------------------
 
-    def context_of_cpu(self, cpu: int) -> HardwareContextId:
-        """Translate a logical CPU id to ``(core, thread)``."""
+    def _check_cpu(self, cpu: int) -> None:
         if not 0 <= cpu < self.config.n_cpus:
             raise ConfigurationError(
                 f"cpu must be in 0..{self.config.n_cpus - 1}, got {cpu}"
             )
+
+    def context_of_cpu(self, cpu: int) -> HardwareContextId:
+        """Translate a logical CPU id to ``(core, thread)``."""
+        self._check_cpu(cpu)
         return HardwareContextId(cpu // 2, cpu % 2)
 
     def cpu_of_context(self, ctx: HardwareContextId) -> int:
@@ -110,12 +113,12 @@ class Power5Chip:
     # -- state access by logical CPU -------------------------------------------
 
     def priority(self, cpu: int) -> HardwarePriority:
-        ctx = self.context_of_cpu(cpu)
-        return self.cores[ctx.core].priority(ctx.thread)
+        self._check_cpu(cpu)
+        return self.cores[cpu // 2].priority(cpu % 2)
 
     def set_priority(self, cpu: int, priority: int) -> None:
-        ctx = self.context_of_cpu(cpu)
-        self.cores[ctx.core].set_priority(ctx.thread, priority)
+        self._check_cpu(cpu)
+        self.cores[cpu // 2].set_priority(cpu % 2, priority)
 
     def load(self, cpu: int) -> Optional[LoadProfile]:
         ctx = self.context_of_cpu(cpu)

@@ -110,6 +110,10 @@ PRIORITY_TABLE: Dict[int, PriorityLevelInfo] = {
 DEFAULT_PRIORITY: HardwarePriority = HardwarePriority.MEDIUM
 
 
+#: Members by value, indexed by :func:`validate_priority`.
+_BY_VALUE = tuple(HardwarePriority)
+
+
 def validate_priority(value: int) -> HardwarePriority:
     """Coerce ``value`` to :class:`HardwarePriority` or raise.
 
@@ -122,7 +126,7 @@ def validate_priority(value: int) -> HardwarePriority:
         raise InvalidPriorityError(value)
     if not 0 <= value <= 7:
         raise InvalidPriorityError(value)
-    return HardwarePriority(value)
+    return _BY_VALUE[value]
 
 
 def or_nop_for_priority(priority: int) -> str:

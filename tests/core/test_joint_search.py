@@ -99,6 +99,7 @@ class TestCandidateMappings:
         # P(8, 6) = 20160 injective assignments; 60 canonical classes.
         assert len(candidate_mappings(6, 4, prune_symmetry=False)) == 20160
         assert len(candidate_mappings(6, 4)) == 60
+        assert len(candidate_mappings(5, 3)) == 15  # docs/mapping.md's table
 
     def test_pruned_is_a_subset_of_unpruned(self):
         pruned = {m.rank_to_cpu for m in candidate_mappings(4, 2)}
@@ -107,6 +108,24 @@ class TestCandidateMappings:
             for m in candidate_mappings(4, 2, prune_symmetry=False)
         }
         assert pruned <= unpruned
+
+    @pytest.mark.parametrize(
+        "n_ranks,n_cores",
+        [(r, c) for c in (1, 2, 3) for r in range(1, 2 * c + 1)]
+        + [(5, 4), (6, 4)],
+    )
+    def test_walk_matches_filtered_permutations(self, n_ranks, n_cores):
+        # The definition: the canonical members of the permutation sweep,
+        # in sweep (lexicographic) order — the order stable ties rank by.
+        definition = [
+            m
+            for m in (
+                ProcessMapping(tuple(enumerate(cpus)))
+                for cpus in itertools.permutations(range(2 * n_cores), n_ranks)
+            )
+            if m.is_canonical()
+        ]
+        assert candidate_mappings(n_ranks, n_cores) == definition
 
     def test_every_survivor_is_canonical(self):
         for m in candidate_mappings(5, 3):

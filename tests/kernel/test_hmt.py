@@ -1,10 +1,20 @@
 """Privilege-checked hardware priority controller."""
 
+import numpy
 import pytest
 
-from repro.errors import InvalidPriorityError, PrivilegeError
+from repro.cluster.machine import ClusterConfig, ClusterMachine
+from repro.errors import ConfigurationError, InvalidPriorityError, PrivilegeError
 from repro.kernel.hmt import Actor, HmtController
 from repro.smt.chip import Power5Chip
+from repro.smt.priorities import PRIORITY_TABLE, HardwarePriority, can_set_priority
+
+#: Every level around the architectural range, plus values that only
+#: look like levels: a bool, a float, a string, an enum member and a
+#: numpy integer.
+GATE_VALUES = list(range(-1, 9)) + [
+    True, 5.0, "5", HardwarePriority.HIGH, numpy.int64(5),
+]
 
 
 @pytest.fixture()
@@ -89,3 +99,57 @@ class TestAudit:
     def test_priorities_tuple(self, hmt):
         hmt.set_priority(3, 6, Actor.OS)
         assert tuple(int(p) for p in hmt.priorities()) == (4, 4, 4, 6)
+
+
+class TestGateMatchesTableI:
+    """The write gate accepts exactly what Table I's privilege column says."""
+
+    @pytest.mark.parametrize("actor", list(Actor))
+    @pytest.mark.parametrize("value", GATE_VALUES, ids=repr)
+    def test_accepts_or_rejects_per_table(self, hmt, actor, value):
+        # Table I's verdict, read off the table itself rather than the
+        # gate's own validation, then held against ``can_set_priority``.
+        is_level = not isinstance(value, bool) and isinstance(value, int)
+        if not is_level or value not in PRIORITY_TABLE:
+            expected = InvalidPriorityError
+            with pytest.raises(InvalidPriorityError):
+                can_set_priority(actor.privilege, value)
+        else:
+            expected = actor.privilege >= PRIORITY_TABLE[value].privilege
+            assert can_set_priority(actor.privilege, value) == expected
+        before = (hmt.priorities(), list(hmt.history))
+        if expected is True:
+            hmt.set_priority(1, value, actor, time=2.5)
+            assert hmt.read_tsr(1) == value
+            assert hmt.history[-1].priority == value
+            assert hmt.history[-1].actor is actor
+            return
+        error = PrivilegeError if expected is False else InvalidPriorityError
+        with pytest.raises(error):
+            hmt.set_priority(1, value, actor)
+        assert (hmt.priorities(), hmt.history) == before
+
+    @pytest.mark.parametrize("actor,denied,allowed", [
+        (Actor.USER, 5, "allowed: 2-4"), (Actor.OS, 7, "allowed: 1-6"),
+    ])
+    def test_refusal_names_the_allowed_range(self, hmt, actor, denied, allowed):
+        with pytest.raises(PrivilegeError, match=allowed):
+            hmt.set_priority(0, denied, actor)
+
+
+class TestCpuBounds:
+    @pytest.mark.parametrize("make", [
+        Power5Chip, lambda: ClusterMachine(ClusterConfig(n_nodes=2)),
+    ])
+    def test_out_of_range_cpu_is_a_configuration_error(self, make):
+        machine = make()
+        for cpu in (-1, machine.config.n_cpus):
+            with pytest.raises(ConfigurationError):
+                machine.priority(cpu)
+            with pytest.raises(ConfigurationError):
+                machine.set_priority(cpu, 4)
+
+    def test_refused_cpu_leaves_history_untouched(self, hmt):
+        with pytest.raises(ConfigurationError):
+            hmt.set_priority(4, 5, Actor.OS)
+        assert hmt.history == []

@@ -1,12 +1,14 @@
 """The /proc/<pid>/hmt_priority interface of the kernel patch."""
 
+import numpy
 import pytest
 
-from repro.errors import InvalidPriorityError, PrivilegeError
+from repro.errors import InvalidPriorityError, PrivilegeError, ReproError
 from repro.kernel.hmt import HmtController
 from repro.kernel.procfs import ProcFs
 from repro.kernel.scheduler import PinnedScheduler
 from repro.smt.chip import Power5Chip
+from repro.smt.priorities import HardwarePriority
 
 
 @pytest.fixture()
@@ -83,3 +85,48 @@ class TestHelpers:
         chip, _, fs = machine
         fs.set_priority_of_pid(101, 6)
         assert int(chip.priority(3)) == 6
+
+
+def _outcome(write):
+    """(error type or None, chip priorities, audit history) after ``write``."""
+    chip = Power5Chip()
+    hmt = HmtController(chip)
+    sched = PinnedScheduler(chip.config.n_cpus)
+    sched.pin(100, 0)
+    sched.pin(101, 3)
+    sched.pin(-5, 1)  # pinnable, but no path names it
+    try:
+        write(ProcFs(hmt, sched))
+        error = None
+    except (ReproError, OSError) as exc:
+        error = type(exc)
+    return error, hmt.priorities(), hmt.history
+
+
+class TestSetPriorityOfPid:
+    """``set_priority_of_pid`` behaves exactly like ``echo`` to the file."""
+
+    @pytest.mark.parametrize(
+        "pid", [100, 101, 999, -5, "101", numpy.int64(101), True], ids=repr
+    )
+    @pytest.mark.parametrize("value", list(range(-1, 9)) + [
+        True, 5.0, "5", " 6\n", "+5", HardwarePriority.HIGH, numpy.int64(5),
+        "high", None,
+    ], ids=repr)
+    def test_matches_the_text_path(self, pid, value):
+        direct = _outcome(lambda fs: fs.set_priority_of_pid(pid, value, time=1.0))
+        echoed = _outcome(
+            lambda fs: fs.write(fs.path_for(pid), str(value), time=1.0)
+        )
+        assert direct == echoed
+
+    def test_error_types(self, machine):
+        _, hmt, fs = machine
+        with pytest.raises(FileNotFoundError):
+            fs.set_priority_of_pid(999, 4)
+        with pytest.raises(InvalidPriorityError):
+            fs.set_priority_of_pid(100, "high")
+        for level in (0, 7):
+            with pytest.raises(PrivilegeError):
+                fs.set_priority_of_pid(100, level)
+        assert hmt.history == []

@@ -170,6 +170,50 @@ class TestValidation:
             spec_for("siesta", params=params)
 
 
+BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), -1.0, -1]
+
+
+class TestNonFiniteAndNegativeNumbers:
+    @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+    def test_works_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="works"):
+            ScenarioSpec(name="x", kind="barrier_loop",
+                         works=(1e9, bad, 1e9, 1e9), iterations=2)
+        doc = spec_for("barrier_loop").to_doc()
+        doc["works"][1] = bad
+        with pytest.raises(ValidationError, match="works"):
+            ScenarioSpec.from_doc(doc)
+
+    def test_zero_work_still_accepted(self):
+        spec_for("barrier_loop", works=(1e9, 0.0, 1e9, 1e9))
+
+    def test_negative_workload_seed_still_accepted(self):
+        # A seed is not a quantity: only the byte counts must be >= 0.
+        params = dict(spec_for("siesta").params, workload_seed=-7)
+        spec = spec_for("siesta", params=params)
+        again = ScenarioSpec.from_doc(spec.to_doc())
+        assert again == spec
+        assert dict(again.params)["workload_seed"] == -7
+
+    @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+    @pytest.mark.parametrize("kind,key", [
+        ("btmz", "init_factor"),
+        ("siesta", "jitter_sigma"),
+        ("siesta", "rotate_prob"),
+        ("siesta", "init_works"),
+        ("siesta", "allreduce_bytes"),
+    ])
+    def test_numeric_params_rejected(self, kind, key, bad):
+        params = dict(spec_for(kind).params)
+        params[key] = (1e8, bad, 1e8, 1e8) if key.endswith("_works") else bad
+        with pytest.raises(ConfigurationError, match=key):
+            spec_for(kind, params=params)
+        doc = spec_for(kind).to_doc()
+        doc["params"][key] = list(params[key]) if key.endswith("_works") else bad
+        with pytest.raises(ValidationError, match=key):
+            ScenarioSpec.from_doc(doc)
+
+
 #: A swap of ranks 1 and 2 — explicit, and not any preset's table.
 EXPLICIT = {0: 0, 1: 2, 2: 1, 3: 3}
 
