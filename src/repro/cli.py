@@ -610,12 +610,23 @@ def _cmd_search_cluster(args: argparse.Namespace, works, levels) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
+    _print_search_report(
+        f"two-level (placement -> priority) search: {n_ranks} ranks "
+        f"on {args.nodes} nodes",
+        result,
+        baseline.total_time,
+        f"placements: {pruned} canonical of {total} "
+        f"({'pruned' if prune else 'NOT pruned'}; "
+        f"{total / pruned:.1f}x node-symmetry cut)",
+    )
+    return 0
+
+
+def _print_search_report(title, result, baseline_time: float, space_note: str) -> None:
+    """The ``repro search`` report: ranked table, search-space note, cost."""
     table = TextTable(
         ["#", "mapping", "priorities", "time [s]", "imb %", "vs default %"],
-        title=(
-            f"two-level (placement -> priority) search: {n_ranks} ranks "
-            f"on {args.nodes} nodes"
-        ),
+        title=title,
     )
     for place, (assignment, total_time, imbalance) in enumerate(
         result.entries, start=1
@@ -624,25 +635,20 @@ def _cmd_search_cluster(args: argparse.Namespace, works, levels) -> int:
             f"{r}>{c}" for r, c in assignment.mapping.rank_to_cpu
         )
         prios = ",".join(str(p) for _, p in assignment.priorities)
-        gain = (baseline.total_time - total_time) / baseline.total_time * 100.0
+        gain = (baseline_time - total_time) / baseline_time * 100.0
         table.add_row([
             place, mapping, prios,
             f"{total_time:.4f}", f"{imbalance:.2f}", f"{gain:+.2f}",
         ])
     print(table.render())
-    print(
-        f"placements: {pruned} canonical of {total} "
-        f"({'pruned' if prune else 'NOT pruned'}; "
-        f"{total / pruned:.1f}x node-symmetry cut)"
-    )
+    print(space_note)
     stats = result.stats
     print(
         f"evaluated {stats.evaluations} candidates "
         f"(workers {stats.workers}, model cache hit rate "
         f"{stats.hit_rate * 100.0:.1f}%); default config: "
-        f"{baseline.total_time:.4f}s"
+        f"{baseline_time:.4f}s"
     )
-    return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -718,30 +724,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    table = TextTable(
-        ["#", "mapping", "priorities", "time [s]", "imb %", "vs default %"],
-        title=f"joint (mapping × priority) search over {len(works)} ranks",
-    )
-    for place, (assignment, total_time, imbalance) in enumerate(
-        result.entries, start=1
-    ):
-        mapping = ",".join(
-            f"{r}>{c}" for r, c in assignment.mapping.rank_to_cpu
-        )
-        prios = ",".join(str(p) for _, p in assignment.priorities)
-        gain = (baseline.total_time - total_time) / baseline.total_time * 100.0
-        table.add_row([
-            place, mapping, prios,
-            f"{total_time:.4f}", f"{imbalance:.2f}", f"{gain:+.2f}",
-        ])
-    print(table.render())
-    print(space_note)
-    stats = result.stats
-    print(
-        f"evaluated {stats.evaluations} candidates "
-        f"(workers {stats.workers}, model cache hit rate "
-        f"{stats.hit_rate * 100.0:.1f}%); default config: "
-        f"{baseline.total_time:.4f}s"
+    _print_search_report(
+        f"joint (mapping × priority) search over {len(works)} ranks",
+        result,
+        baseline.total_time,
+        space_note,
     )
     return 0
 

@@ -21,7 +21,7 @@ from typing import Any, ClassVar, Dict, Mapping, Tuple, Type
 
 from repro.errors import ConfigurationError, ValidationError
 from repro.util.fingerprint import fingerprint_doc
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_finite, check_non_negative, check_positive
 
 __all__ = [
     "NETWORK_KINDS",
@@ -101,6 +101,8 @@ class UniformNetwork(NetworkModel):
     def __post_init__(self) -> None:
         check_non_negative("inter_latency", self.inter_latency)
         check_positive("inter_bandwidth", self.inter_bandwidth)
+        check_finite("inter_latency", self.inter_latency)
+        check_finite("inter_bandwidth", self.inter_bandwidth)
 
     def latency(self, node_a: int, node_b: int) -> float:
         self.check_node(node_a)
@@ -159,6 +161,8 @@ class TwoLevelTree(NetworkModel):
         check_non_negative("far_latency", self.far_latency)
         check_positive("near_bandwidth", self.near_bandwidth)
         check_positive("far_bandwidth", self.far_bandwidth)
+        for name in ("near_latency", "far_latency", "near_bandwidth", "far_bandwidth"):
+            check_finite(name, getattr(self, name))
         if self.far_latency < self.near_latency:
             raise ConfigurationError("far_latency must be >= near_latency")
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.balancer import PriorityAssignment
 from repro.errors import ConfigurationError
-from repro.machine.mapping import ProcessMapping, paired_mapping
+from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System
 from repro.mpi.process import RankProgram
 from repro.smt.cache import CacheHierarchy
@@ -63,9 +63,10 @@ __all__ = [
 class SearchStats:
     """Work accounting for one search invocation.
 
-    ``evaluations`` counts every candidate actually simulated — it is
-    the honest cost figure even when the result keeps only the top N
-    entries. Cache hits/misses are the throughput model's memo deltas
+    ``evaluations`` counts the distinct assignments actually simulated
+    — each ``(mapping, priorities)`` point runs once per search however
+    often a strategy revisits it — so it is the honest cost figure even
+    when the result keeps only the top N entries. Cache hits/misses are the throughput model's memo deltas
     over the search (all zeros when the model keeps no stats, and for
     worker-process caches, which die with their pool).
     """
@@ -101,12 +102,8 @@ class SearchResult:
 
     @property
     def evaluated(self) -> int:
-        """Candidates actually simulated.
-
-        Historically this was ``len(entries)``, which under-reported
-        whenever ``keep_top`` truncated the ranking; it now comes from
-        :attr:`stats` when available.
-        """
+        """Distinct candidates actually simulated (from :attr:`stats`
+        when available)."""
         if self.stats is not None:
             return self.stats.evaluations
         return len(self.entries)
@@ -116,6 +113,39 @@ class SearchResult:
         if reference_time <= 0:
             raise ConfigurationError(f"reference_time must be > 0, got {reference_time}")
         return (reference_time - self.best_time) / reference_time * 100.0
+
+
+def _core_priorities(
+    groups: Sequence[Sequence[int]],
+    levels: Sequence[int],
+    max_gap: int,
+) -> Iterator[Dict[int, int]]:
+    """The per-core priority grammar every search shares.
+
+    ``groups`` are the ranks sharing each core (one or two). A lone rank
+    takes any of ``levels``; a sibling pair any two levels at most
+    ``max_gap`` apart. Yields every cross-core combination as a
+    ``{rank: level}`` dict, in product order.
+    """
+    for lv in levels:
+        if not 1 <= lv <= 6:
+            raise ConfigurationError(f"levels must be OS-settable (1-6), got {lv}")
+    per_core: List[List[Dict[int, int]]] = []
+    for group in groups:
+        if len(group) == 1:
+            per_core.append([{group[0]: lv} for lv in levels])
+        else:
+            a, b = group
+            per_core.append([
+                {a: la, b: lb}
+                for la, lb in itertools.product(levels, repeat=2)
+                if abs(la - lb) <= max_gap
+            ])
+    for combo in itertools.product(*per_core):
+        prios: Dict[int, int] = {}
+        for d in combo:
+            prios.update(d)
+        yield prios
 
 
 def candidate_assignments(
@@ -132,29 +162,10 @@ def candidate_assignments(
     both levels (e.g. (3,3) vs (4,4)) are kept: absolute level matters at
     the boundaries (1 and 6) and for later dynamic adjustment headroom.
     """
-    for lv in levels:
-        if not 1 <= lv <= 6:
-            raise ConfigurationError(f"levels must be OS-settable (1-6), got {lv}")
-    pairs = mapping.core_pairs()
-    per_core_choices: List[List[Dict[int, int]]] = []
-    for pair in pairs:
-        choices: List[Dict[int, int]] = []
-        if len(pair) == 1:
-            for lv in levels:
-                choices.append({pair[0]: lv})
-        else:
-            a, b = pair
-            for la, lb in itertools.product(levels, repeat=2):
-                if abs(la - lb) <= max_gap:
-                    choices.append({a: la, b: lb})
-        per_core_choices.append(choices)
-    out: List[PriorityAssignment] = []
-    for combo in itertools.product(*per_core_choices):
-        prios: Dict[int, int] = {}
-        for d in combo:
-            prios.update(d)
-        out.append(PriorityAssignment.build(mapping, prios, label="search"))
-    return out
+    return [
+        PriorityAssignment.build(mapping, prios, label="search")
+        for prios in _core_priorities(mapping.core_pairs(), levels, max_gap)
+    ]
 
 
 def _model_cache_stats(system: System):
@@ -193,11 +204,13 @@ def _record_search(kind: str, stats: SearchStats, elapsed_s: float) -> None:
     ).labels(kind).observe(elapsed_s)
 
 
-def _evaluate_assignment(
-    system: System,
-    program_factory: Callable[[], Sequence[RankProgram]],
-    assignment: PriorityAssignment,
-) -> Tuple[float, float]:
+_Entry = Tuple[PriorityAssignment, float, float]
+
+
+def _evaluate_candidate(payload) -> Tuple[float, float]:
+    """Simulate one ``(system, program_factory, assignment)`` payload
+    (module-level so :mod:`concurrent.futures` can pickle it)."""
+    system, program_factory, assignment = payload
     result = system.run(
         list(program_factory()),
         mapping=assignment.mapping,
@@ -207,80 +220,88 @@ def _evaluate_assignment(
     return result.total_time, result.imbalance_percent
 
 
-def _evaluate_candidate(payload) -> Tuple[float, float]:
-    """Worker entry point for parallel search (module-level so it is
-    picklable by :mod:`concurrent.futures`)."""
-    system, program_factory, assignment = payload
-    return _evaluate_assignment(system, program_factory, assignment)
+class _Search:
+    """One search's evaluator; every strategy is a loop over it.
 
-
-def _ranked_search(
-    system: System,
-    program_factory: Callable[[], Sequence[RankProgram]],
-    candidates: Sequence[PriorityAssignment],
-    keep_top: int,
-    workers: int,
-    kind: str,
-) -> SearchResult:
-    """Evaluate ``candidates`` (pool or serial), rank them, record stats.
-
-    The shared engine behind the exhaustive, joint and staged searches:
-    ``executor.map`` preserves candidate order, and each run is
-    deterministic given (programs, mapping, priorities), so the ranking
-    is byte-identical to the serial one. The system and factory must be
-    picklable for the pool path; when they are not (e.g. a lambda
-    factory), the search transparently falls back to the serial path.
-    Worker model caches are private to the pool, so cross-candidate
-    cache reuse — and the hit/miss accounting — only happens in serial
-    mode.
+    :meth:`score` simulates each distinct ``(mapping, priorities)``
+    assignment once per search; a candidate scored before is answered
+    from the ledger. A batch runs on a process pool when ``workers > 1``:
+    ``executor.map`` preserves candidate order and each run is
+    deterministic, so the ranking is byte-identical to the serial one.
+    An unpicklable system or factory (e.g. a lambda) falls back to the
+    serial path. Worker model caches die with the pool, so cache reuse
+    and the hit/miss accounting only happen serially. :meth:`result`
+    ranks the ledger and publishes the search's accounting once.
     """
-    if not candidates:
-        raise ConfigurationError("search evaluated no candidates")
-    before = _model_cache_stats(system)
-    t0 = time.perf_counter()
 
-    outcomes: Optional[List[Tuple[float, float]]] = None
-    used_workers = 1
-    if workers > 1 and len(candidates) > 1:
-        try:
-            n = min(int(workers), len(candidates))
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                outcomes = list(
-                    pool.map(
-                        _evaluate_candidate,
-                        [(system, program_factory, a) for a in candidates],
-                    )
-                )
-            used_workers = n
-        except Exception:
-            # Unpicklable system/factory or a broken pool: evaluate
-            # serially instead (any genuine simulation error will
-            # re-raise below, from the same candidate).
-            outcomes = None
-    if outcomes is None:
-        outcomes = [
-            _evaluate_assignment(system, program_factory, a) for a in candidates
-        ]
+    def __init__(self, system: System, program_factory, workers: int = 1) -> None:
+        self.system = system
+        self.program_factory = program_factory
+        self.workers = workers
+        self.used_workers = 1
+        self.scored: Dict[tuple, _Entry] = {}
+        self.cache_before = _model_cache_stats(system)
+        self.t0 = time.perf_counter()
 
-    entries: List[Tuple[PriorityAssignment, float, float]] = [
-        (a, t, imb) for a, (t, imb) in zip(candidates, outcomes)
-    ]
-    after = _model_cache_stats(system)
-    hits = misses = 0
-    if before is not None and after is not None:
-        hits = after.hits - before.hits
-        misses = after.misses - before.misses
-    stats = SearchStats(
-        evaluations=len(candidates),
-        cache_hits=hits,
-        cache_misses=misses,
-        workers=used_workers,
-    )
-    _record_search(kind, stats, time.perf_counter() - t0)
-    entries.sort(key=lambda e: e[1])
-    if keep_top > 0:
-        entries = entries[:keep_top]
-    return SearchResult(tuple(entries), stats=stats)
+    def score(self, candidates: Sequence[PriorityAssignment]) -> List[_Entry]:
+        """Each candidate's ``(assignment, time, imbalance)``, in order."""
+        if not candidates:
+            raise ConfigurationError("search evaluated no candidates")
+        keys = [(a.mapping.rank_to_cpu, a.priorities) for a in candidates]
+        fresh: Dict[tuple, PriorityAssignment] = {}
+        for key, a in zip(keys, candidates):
+            if key not in self.scored:
+                fresh.setdefault(key, a)
+        for (key, a), (t, imb) in zip(fresh.items(), self._run(list(fresh.values()))):
+            self.scored[key] = (a, t, imb)
+        return [self.scored[key] for key in keys]
+
+    def best(self, candidates: Sequence[PriorityAssignment]) -> _Entry:
+        """The fastest candidate; the first one on a tie."""
+        return min(self.score(candidates), key=lambda e: e[1])
+
+    def _run(self, batch: List[PriorityAssignment]) -> List[Tuple[float, float]]:
+        payloads = [(self.system, self.program_factory, a) for a in batch]
+        if self.workers > 1 and len(batch) > 1:
+            n = min(int(self.workers), len(batch))
+            try:
+                with ProcessPoolExecutor(max_workers=n) as pool:
+                    outcomes = list(pool.map(_evaluate_candidate, payloads))
+                self.used_workers = max(self.used_workers, n)
+                return outcomes
+            except Exception:
+                # Unpicklable system/factory or a broken pool: evaluate
+                # serially instead (any genuine simulation error will
+                # re-raise below, from the same candidate).
+                pass
+        return [_evaluate_candidate(p) for p in payloads]
+
+    def result(self, kind: str, keep_top: int = 0) -> SearchResult:
+        """Every distinct assignment scored, best first (ties keep
+        first-scored order), truncated to ``keep_top`` when positive."""
+        after = _model_cache_stats(self.system)
+        hits = misses = 0
+        if self.cache_before is not None and after is not None:
+            hits = after.hits - self.cache_before.hits
+            misses = after.misses - self.cache_before.misses
+        stats = SearchStats(len(self.scored), hits, misses, self.used_workers)
+        _record_search(kind, stats, time.perf_counter() - self.t0)
+        entries = sorted(self.scored.values(), key=lambda e: e[1])
+        if keep_top > 0:
+            entries = entries[:keep_top]
+        return SearchResult(tuple(entries), stats=stats)
+
+
+def _product_search(
+    system, program_factory, mappings, levels, max_gap, keep_top, workers, kind
+) -> SearchResult:
+    """Score every priority combination on every mapping in one batch."""
+    search = _Search(system, program_factory, workers)
+    search.score([
+        a for mapping in mappings
+        for a in candidate_assignments(mapping, levels, max_gap)
+    ])
+    return search.result(kind, keep_top)
 
 
 def exhaustive_priority_search(
@@ -296,11 +317,11 @@ def exhaustive_priority_search(
 
     ``program_factory`` must build *fresh* generator programs per run
     (generators are single-use). Parallelism, determinism and the
-    serial fallback are :func:`_ranked_search`'s contract.
+    serial fallback are the shared search evaluator's contract.
     """
-    candidates = candidate_assignments(mapping, levels, max_gap)
-    return _ranked_search(
-        system, program_factory, candidates, keep_top, workers, "exhaustive"
+    return _product_search(
+        system, program_factory, [mapping], levels, max_gap, keep_top,
+        workers, "exhaustive",
     )
 
 
@@ -316,55 +337,35 @@ def greedy_priority_search(
     """Hill-climb: try single-rank priority moves until no improvement.
 
     Far fewer runs than exhaustive search (the paper's manual procedure
-    is essentially this loop); may stop in a local optimum.
+    is essentially this loop); may stop in a local optimum. A move back
+    to a point already scored costs no simulation, and the result lists
+    every distinct point once.
     """
     if start is None:
         start = PriorityAssignment.build(
             mapping, {r: 4 for r in range(mapping.n_ranks)}, label="start"
         )
-
-    before = _model_cache_stats(system)
-    t0 = time.perf_counter()
-
-    def evaluate(assignment: PriorityAssignment) -> Tuple[float, float]:
-        return _evaluate_assignment(system, program_factory, assignment)
-
-    current = start
-    current_time, current_imb = evaluate(current)
-    history: List[Tuple[PriorityAssignment, float, float]] = [
-        (current, current_time, current_imb)
-    ]
+    search = _Search(system, program_factory)
+    current = search.best([start])
     for _ in range(max_steps):
-        best_move: Optional[Tuple[PriorityAssignment, float, float]] = None
-        prios = current.priority_dict
+        prios = current[0].priority_dict
+        moves: List[PriorityAssignment] = []
         for rank in range(mapping.n_ranks):
             for lv in levels:
                 if lv == prios[rank]:
                     continue
-                trial_prios = dict(prios)
-                trial_prios[rank] = lv
-                trial = PriorityAssignment.build(mapping, trial_prios, label="greedy")
-                if trial.max_gap > max_gap:
-                    continue
-                t, imb = evaluate(trial)
-                history.append((trial, t, imb))
-                if best_move is None or t < best_move[1]:
-                    best_move = (trial, t, imb)
-        if best_move is None or best_move[1] >= current_time:
+                trial = PriorityAssignment.build(
+                    mapping, {**prios, rank: lv}, label="greedy"
+                )
+                if trial.max_gap <= max_gap:
+                    moves.append(trial)
+        if not moves:
             break
-        current, current_time, current_imb = best_move
-    after = _model_cache_stats(system)
-    hits = misses = 0
-    if before is not None and after is not None:
-        hits = after.hits - before.hits
-        misses = after.misses - before.misses
-    evaluations = len(history)
-    stats = SearchStats(
-        evaluations=evaluations, cache_hits=hits, cache_misses=misses
-    )
-    _record_search("greedy", stats, time.perf_counter() - t0)
-    history.sort(key=lambda e: e[1])
-    return SearchResult(tuple(history), stats=stats)
+        best = search.best(moves)
+        if best[1] >= current[1]:
+            break
+        current = best
+    return search.result("greedy")
 
 
 # -- the mapping axis -----------------------------------------------------------
@@ -451,16 +452,15 @@ def joint_search(
         n_cores = system.config.chip.n_cores
     if mappings is None:
         mappings = candidate_mappings(n_ranks, n_cores, prune_symmetry)
-    candidates: List[PriorityAssignment] = []
     for mapping in mappings:
         if mapping.n_ranks != n_ranks:
             raise ConfigurationError(
                 f"mapping {mapping.as_dict()} has {mapping.n_ranks} ranks, "
                 f"expected {n_ranks}"
             )
-        candidates.extend(candidate_assignments(mapping, levels, max_gap))
-    return _ranked_search(
-        system, program_factory, candidates, keep_top, workers, "joint"
+    return _product_search(
+        system, program_factory, mappings, levels, max_gap, keep_top,
+        workers, "joint",
     )
 
 
@@ -612,81 +612,40 @@ def two_level_search(
     while the other nodes hold their current best; a node's winner is
     adopted only on strict improvement. ``system`` is typically a
     :class:`~repro.cluster.system.ClusterSystem`; anything with the
-    ``System.run`` signature works. The result ranks everything both
-    stages evaluated, best first.
+    ``System.run`` signature works. The result ranks every distinct
+    assignment both stages scored, best first; a node stage's incumbent
+    is not simulated again.
     """
     if placements is None:
         placements = candidate_placements(
             n_ranks, n_nodes, cpus_per_node, nodes_per_switch, prune_symmetry
         )
+    search = _Search(system, program_factory, workers)
     flat = {r: 4 for r in range(n_ranks)}
-    stage1 = _ranked_search(
-        system,
-        program_factory,
-        [
-            PriorityAssignment.build(
-                placement_mapping(p, cpus_per_node), flat, label="placement"
-            )
-            for p in placements
-        ],
-        0,
-        workers,
-        "placement",
-    )
-    best_entry = stage1.entries[0]
-    mapping = best_entry[0].mapping
-
-    entries: List[Tuple[PriorityAssignment, float, float]] = list(stage1.entries)
-    evaluations = stage1.stats.evaluations
-    hits, misses = stage1.stats.cache_hits, stage1.stats.cache_misses
-    current = dict(flat)
-    for node in range(n_nodes):
-        by_core: Dict[int, List[int]] = {}
-        for rank in range(n_ranks):
-            cpu = mapping.cpu_of(rank)
-            if cpu // cpus_per_node == node:
-                by_core.setdefault(cpu // 2, []).append(rank)
-        if not by_core:
-            continue
-        per_core_choices: List[List[Dict[int, int]]] = []
-        for core in sorted(by_core):
-            group = sorted(by_core[core])
-            if len(group) == 1:
-                per_core_choices.append([{group[0]: lv} for lv in levels])
-            else:
-                a, b = group
-                per_core_choices.append([
-                    {a: la, b: lb}
-                    for la, lb in itertools.product(levels, repeat=2)
-                    if abs(la - lb) <= max_gap
-                ])
-        candidates = []
-        for combo in itertools.product(*per_core_choices):
-            prios = dict(current)
-            for d in combo:
-                prios.update(d)
-            candidates.append(
-                PriorityAssignment.build(mapping, prios, label="two-level")
-            )
-        ranked = _ranked_search(
-            system, program_factory, candidates, 0, workers, "two-level"
+    current = search.best([
+        PriorityAssignment.build(
+            placement_mapping(p, cpus_per_node), flat, label="placement"
         )
-        entries.extend(ranked.entries)
-        evaluations += ranked.stats.evaluations
-        hits += ranked.stats.cache_hits
-        misses += ranked.stats.cache_misses
-        if ranked.best_time < best_entry[1]:
-            best_entry = ranked.entries[0]
-            current = best_entry[0].priority_dict
-
-    entries.sort(key=lambda e: e[1])
-    if keep_top > 0:
-        entries = entries[:keep_top]
-    stats = SearchStats(
-        evaluations=evaluations, cache_hits=hits, cache_misses=misses,
-        workers=max(stage1.stats.workers, 1),
-    )
-    return SearchResult(tuple(entries), stats=stats)
+        for p in placements
+    ])
+    mapping = current[0].mapping
+    for node in range(n_nodes):
+        groups = [
+            g for g in mapping.core_pairs()
+            if mapping.cpu_of(g[0]) // cpus_per_node == node
+        ]
+        if not groups:
+            continue
+        prios = current[0].priority_dict
+        node_best = search.best([
+            PriorityAssignment.build(
+                mapping, {**prios, **combo}, label="two-level"
+            )
+            for combo in _core_priorities(groups, levels, max_gap)
+        ])
+        if node_best[1] < current[1]:
+            current = node_best
+    return search.result("two-level", keep_top)
 
 
 # -- the staged heuristic -------------------------------------------------------
@@ -802,7 +761,7 @@ def mapping_then_priority_search(
     optimum it recovers.
     """
     mapping = paired_extremes_mapping(rank_pressures(works, profiles))
-    candidates = candidate_assignments(mapping, levels, max_gap)
-    return _ranked_search(
-        system, program_factory, candidates, keep_top, workers, "staged"
+    return _product_search(
+        system, program_factory, [mapping], levels, max_gap, keep_top,
+        workers, "staged",
     )

@@ -26,9 +26,11 @@ def canonical_json(doc: object) -> str:
 
     Key order is fixed by ``sort_keys``; separators are json's defaults
     (kept for compatibility with fingerprints persisted before this
-    helper existed).
+    helper existed). ``allow_nan=False``: a NaN or infinite value raises
+    ``ValueError`` instead of becoming a non-JSON ``NaN``/``Infinity``
+    token in a content address (finite documents serialise unchanged).
     """
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 def fingerprint_doc(doc: object) -> str:

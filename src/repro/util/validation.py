@@ -11,6 +11,7 @@ everything).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence, Tuple, Type, Union
 
 from repro.errors import ConfigurationError, ValidationTypeError
@@ -18,6 +19,7 @@ from repro.errors import ConfigurationError, ValidationTypeError
 __all__ = [
     "check_positive",
     "check_non_negative",
+    "check_finite",
     "check_in_range",
     "check_type",
     "check_probability",
@@ -57,6 +59,13 @@ def check_non_negative(name: str, value: float) -> None:
     check_type(name, value, (int, float))
     if not value >= 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
+
+
+def check_finite(name: str, value: float) -> None:
+    """Raise unless ``value`` is a finite number (not NaN or +/-inf)."""
+    check_type(name, value, (int, float))
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def check_in_range(name: str, value: float, lo: float, hi: float) -> None:

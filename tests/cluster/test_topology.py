@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cluster.spec import TopologySpec
 from repro.cluster.topology import TwoLevelTree, UniformNetwork
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
+from repro.scenarios import ScenarioSpec
 
 
 class TestUniform:
@@ -76,3 +78,43 @@ class TestTwoLevelTree:
             net.bandwidth(0, -3)
         with pytest.raises(ConfigurationError):
             net.switch_of(-1)
+
+
+NETWORK_FIELDS = [
+    (UniformNetwork, "uniform", "inter_latency"),
+    (UniformNetwork, "uniform", "inter_bandwidth"),
+    (TwoLevelTree, "two-level-tree", "near_latency"),
+    (TwoLevelTree, "two-level-tree", "far_latency"),
+    (TwoLevelTree, "two-level-tree", "near_bandwidth"),
+    (TwoLevelTree, "two-level-tree", "far_bandwidth"),
+]
+NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+
+
+class TestNonFiniteParams:
+    """Every latency/bandwidth field must be finite: an infinite value
+    would otherwise reach a topology fingerprint as ``Infinity``."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("cls,kind,field", NETWORK_FIELDS)
+    def test_construction_rejected(self, cls, kind, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("cls,kind,field", NETWORK_FIELDS)
+    def test_topology_doc_rejected(self, cls, kind, field, value):
+        doc = {"n_nodes": 2, "network": kind, "params": {field: value}}
+        with pytest.raises(ValidationError, match=field):
+            TopologySpec.from_doc(doc)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("cls,kind,field", NETWORK_FIELDS)
+    def test_scenario_doc_rejected(self, cls, kind, field, value):
+        doc = ScenarioSpec(
+            name="net", kind="barrier_loop", works=(1e9, 2e9), iterations=1,
+            topology={"n_nodes": 2, "network": kind},
+        ).to_doc()
+        doc["topology"]["params"] = {field: value}
+        with pytest.raises(ValidationError, match=field):
+            ScenarioSpec.from_doc(doc)

@@ -12,6 +12,7 @@ from repro.core import (
     two_level_search,
 )
 from repro.errors import ConfigurationError
+from repro.telemetry import MetricRegistry, set_default_registry
 from repro.workloads.generators import distant_pairs_programs
 
 WORKS = [1.0e9, 2.6e9, 1.4e9, 3.0e9, 1.8e9, 2.2e9, 1.2e9, 2.8e9]
@@ -133,3 +134,40 @@ class TestTwoLevelSearch:
         )
         full = two_level_search(system, factory, **kwargs)
         assert full.entries[0][1] < priority_only.entries[0][1]
+
+    def test_each_point_listed_once(self, system):
+        """The per-node stages re-propose their incumbent; the shared
+        evaluator answers it from the ledger. This shape asks for 67
+        scores, 65 of them distinct, and keeps the same winner."""
+        result = two_level_search(
+            system, factory, n_ranks=8, n_nodes=2, levels=(4, 5), max_gap=1
+        )
+        keys = [(a.mapping.rank_to_cpu, a.priorities) for a, _, _ in result.entries]
+        assert len(keys) == len(set(keys)) == result.stats.evaluations == 65
+        best = result.best
+        assert best.mapping.as_dict() == {
+            0: 0, 1: 4, 2: 1, 3: 2, 4: 5, 5: 6, 6: 7, 7: 3,
+        }
+        assert best.priorities == tuple((r, 5 if r == 0 else 4) for r in range(8))
+        assert result.best_time == pytest.approx(1.6731317589362003, rel=1e-12)
+
+    def test_one_telemetry_event_per_search(self, system):
+        registry = MetricRegistry()
+        previous = set_default_registry(registry)
+        try:
+            two_level_search(
+                system, factory, n_ranks=8, n_nodes=2, levels=(4,), max_gap=0
+            )
+        finally:
+            set_default_registry(previous)
+        snap = registry.snapshot()
+        (sample,) = snap["repro_search_seconds"]["samples"]
+        assert sample["labels"] == {"kind": "two-level"}
+        assert sample["count"] == 1
+        kinds = {
+            s["labels"]["kind"]
+            for name, metric in snap.items()
+            if name.startswith("repro_search_")
+            for s in metric["samples"]
+        }
+        assert kinds == {"two-level"}  # no separate placement series

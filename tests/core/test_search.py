@@ -1,6 +1,9 @@
 """Priority-configuration search."""
 
+import functools
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.balancer import PriorityAssignment
 from repro.core.search import (
@@ -8,10 +11,12 @@ from repro.core.search import (
     candidate_assignments,
     exhaustive_priority_search,
     greedy_priority_search,
+    joint_search,
 )
 from repro.machine.system import System, SystemConfig
 from repro.errors import ConfigurationError
 from repro.machine.mapping import ProcessMapping
+from repro.smt.chip import ChipConfig
 from repro.workloads.generators import barrier_loop_programs
 
 WORKS = [1e9, 4e9]
@@ -185,3 +190,61 @@ class TestParallel:
         )
         assert result.stats.workers == 1
         assert result.evaluated == 1
+
+
+def point_keys(result):
+    return [(a.mapping.rank_to_cpu, a.priorities) for a, _, _ in result.entries]
+
+
+class TestOneEvaluator:
+    """Every strategy scores through one evaluator that simulates each
+    distinct (mapping, priorities) point once per search."""
+
+    def test_greedy_lists_each_point_once(self, system):
+        # This hill-climb revisits points: 24 scoring requests, 21 of
+        # them distinct. The winner is the one the re-simulating walk
+        # found.
+        result = greedy_priority_search(
+            system,
+            functools.partial(
+                barrier_loop_programs, [8e8, 2.4e9, 1.2e9, 2e9], iterations=2
+            ),
+            ProcessMapping.identity(4),
+        )
+        keys = point_keys(result)
+        assert len(keys) == len(set(keys)) == result.stats.evaluations == 21
+        assert result.best.priorities == ((0, 3), (1, 4), (2, 4), (3, 4))
+        assert result.best_time == pytest.approx(1.2796275969631317, rel=1e-12)
+
+    def test_exhaustive_is_joint_on_one_mapping(self, system):
+        mapping = ProcessMapping.from_dict({0: 0, 1: 2, 2: 1, 3: 3})
+        works = functools.partial(
+            barrier_loop_programs, [1e9, 3e9, 2e9, 1.5e9], iterations=1
+        )
+        kwargs = dict(levels=(4, 5), max_gap=1)
+        exhaustive = exhaustive_priority_search(system, works, mapping, **kwargs)
+        joint = joint_search(
+            system, works, n_ranks=4, mappings=[mapping], **kwargs
+        )
+        assert exhaustive.entries == joint.entries
+        assert exhaustive.stats.evaluations == joint.stats.evaluations == 16
+
+    @given(
+        works=st.lists(
+            st.floats(min_value=5e8, max_value=3e9), min_size=3, max_size=5
+        )
+    )
+    @settings(
+        max_examples=4, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_greedy_never_lists_a_point_twice(self, works):
+        result = greedy_priority_search(
+            System(SystemConfig(chip=ChipConfig(n_cores=3))),
+            functools.partial(barrier_loop_programs, works, iterations=1),
+            ProcessMapping.identity(len(works)),
+            levels=(3, 4, 5, 6),
+            max_steps=4,
+        )
+        keys = point_keys(result)
+        assert len(keys) == len(set(keys)) == result.stats.evaluations

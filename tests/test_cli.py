@@ -273,3 +273,12 @@ class TestSearchCommand:
         assert (
             main(["search", "joint", "--works", "1e9,1e9,1e9,1e9,1e9"]) == 2
         )
+
+    def test_cluster_bad_level_rejected(self, capsys):
+        """The two-level stage shares the joint search's priority
+        grammar, level check included: a clean usage error, not a
+        traceback from the hardware priority gate."""
+        args = ["search", "cluster", "--works", "1e9,2e9,1e9,2e9",
+                "--nodes", "2", "--levels", "4,9", "--iterations", "1"]
+        assert main(args) == 2
+        assert "OS-settable" in capsys.readouterr().err
