@@ -14,11 +14,13 @@ fluid bar is lower by necessity, not modesty — each fluid run still
 executes a real discrete event loop per spec (~0.9 ms floor on this
 corpus), and its ``run_batch`` is the default loop over ``run``: the
 whole fluid win is engine reuse (one warm ``System`` and memo for the
-batch instead of a fresh engine per spec). The analytic engine's whole
-cost is the rate solve, which the batch path stacks into shared numpy
-problems. Equivalence is *not* re-proven here
-(tests/scenarios/test_batch_equivalence.py owns that); a digest spot
-check just guards against benchmarking two different computations.
+batch instead of a fresh engine per spec). The analytic engine's
+``run_batch`` is the same default loop: its whole cost is the rate
+solve, and the batch wins by reusing the engine's one model, whose memo
+already holds the chip states earlier specs solved. Equivalence is
+*not* re-proven here (tests/scenarios/test_batch_equivalence.py owns
+that); a digest spot check just guards against benchmarking two
+different computations.
 """
 
 import itertools

@@ -37,8 +37,9 @@ native strategies where amortisation pays:
     ``System``, whose memo already holds the chip states earlier specs
     visited.
 ``analytic``
-    Stacks all specs' steady-state chip solves into one vectorized
-    call; the per-spec closed form then reads warm cache entries.
+    The default loop. Like fluid, its batch speed-up is reuse alone:
+    every spec queries the engine's one model, whose chip memo already
+    holds the steady states earlier specs solved.
 ``cycle``
     Shares the persisted :class:`ThroughputTable` across the batch:
     loaded once per (seed, path) System, merged and saved once per
@@ -258,9 +259,9 @@ class Engine:
     #: Engine-specific ``options`` keys :meth:`run` accepts.
     option_names: Tuple[str, ...] = ()
     #: How :meth:`run_batch` amortises work: ``"loop"`` (the default
-    #: fallback — correct but nothing shared), ``"vectorized"`` (stacked
-    #: numpy solves), or ``"shared-table"`` (one table load/save per
-    #: batch). Shown by ``repro engines list``.
+    #: loop over :meth:`run`, sharing whatever warm state the engine
+    #: keeps) or ``"shared-table"`` (one table load/save per batch).
+    #: Shown by ``repro engines list``.
     batch_strategy: str = "loop"
     #: The spec/search axes this engine's physics distinguishes.
     #: ``"priority"``: static hardware priorities change the outcome;
@@ -591,7 +592,6 @@ class AnalyticEngine(Engine):
     description = ("closed-form steady-state estimate (bottleneck rank's "
                    "work over its chip-coupled IPC; no event loop)")
     option_names = ("model",)
-    batch_strategy = "vectorized"
     #: Topology-aware: per-node chip solves keep the IPC coupling within
     #: each node's chip (communication is ignored either way, so the
     #: estimate stays the same compute-bound lower bound on a cluster).
@@ -688,12 +688,7 @@ class AnalyticEngine(Engine):
         else:
             core_states = self._core_states(spec, mapping)
             ipcs = model.chip_ipc(core_states)
-        return self._finish(spec, label, mapping, ipcs, t0)
-
-    def _finish(
-        self, spec: ScenarioSpec, label: Optional[str], mapping, ipcs, t0: float
-    ) -> ExecutionResult:
-        """The closed form proper: bottleneck rank's work over its IPC."""
+        # The closed form proper: bottleneck rank's work over its IPC.
         freq = _default_freq_hz()
         worst = 0.0
         for rank in range(spec.n_ranks):
@@ -715,46 +710,3 @@ class AnalyticEngine(Engine):
         )
         _observe_run(self.name, result.compute_seconds, nodes=_spec_nodes(spec))
         return result
-
-    def run_batch(
-        self,
-        specs,
-        *,
-        labels: Optional[List[str]] = None,
-        options: Optional[Mapping[str, object]] = None,
-    ) -> List[ExecutionResult]:
-        """Batch execution: one stacked solve for the whole batch.
-
-        Every spec's steady-state chip query goes into a single
-        vectorized call (:meth:`AnalyticThroughputModel.chip_ipc_stack`,
-        which dedupes them and reads and fills the same memo caches
-        scalar queries use); the closed form per spec then consumes the
-        solved IPCs directly. Identical to looping :meth:`run` — same
-        pure solve, same caches.
-        """
-        specs, labels = self._batch_args(specs, labels)
-        opts = self._opts(options)
-        model: AnalyticThroughputModel = opts.get("model") or self._model
-        batch_t0 = time.perf_counter()
-        results: List[Optional[ExecutionResult]] = [None] * len(specs)
-        # Topology specs take the scalar per-node path (their per-node
-        # chips would not stack homogeneously with single-chip queries);
-        # results stay index-aligned with the input.
-        flat_idx = [
-            i for i, spec in enumerate(specs) if spec.topology is None
-        ]
-        for i, spec in enumerate(specs):
-            if spec.topology is not None:
-                results[i] = self.run(spec, label=labels[i], options=options)
-        flat_specs = [specs[i] for i in flat_idx]
-        mappings = [spec.mapping_obj() for spec in flat_specs]
-        solved = model.chip_ipc_stack([
-            self._core_states(spec, mapping)
-            for spec, mapping in zip(flat_specs, mappings)
-        ])
-        for i, spec, mapping, ipcs in zip(flat_idx, flat_specs, mappings, solved):
-            results[i] = self._finish(
-                spec, labels[i], mapping, ipcs, time.perf_counter()
-            )
-        _observe_batch(self.name, len(specs), time.perf_counter() - batch_t0)
-        return results

@@ -40,12 +40,6 @@ never depend on which queries happened to arrive first. (Earlier
 revisions rounded the traffic component to 1e-4, which made converged
 values sensitive to cache history; the batch execution path and the
 cached-vs-uncached equivalence tests both rely on the exact keys.)
-
-Batched evaluation: :meth:`AnalyticThroughputModel.chip_ipc_stack`
-solves many chip states at once by stacking all their core queries into
-the numpy solver in :mod:`repro.smt.vectorized` — bit-identical to
-looping :meth:`chip_ipc` because both paths evaluate the same pure
-solve and share the same memo caches.
 """
 
 from __future__ import annotations
@@ -472,106 +466,14 @@ class AnalyticThroughputModel:
         self._chip_cache.put(key, out)
         return out
 
-    # -- batched evaluation -----------------------------------------------------
-
-    def _core_ipc_batch(self, queries):
-        """Resolve many ``(load_a, load_b, prio_a, prio_b, ext)`` core
-        queries at once: memo lookups first, then one stacked solve for
-        the distinct misses.
-
-        Bit-identical to looping :meth:`core_ipc` — same keys, same pure
-        solve — the only difference is that misses are solved as one
-        numpy stack.
-        """
-        from repro.smt.vectorized import solve_stack
-
-        out: list = [None] * len(queries)
-        misses: Dict[tuple, list] = {}
-        for qi, (pa, pb, prio_a, prio_b, ext) in enumerate(queries):
-            key = (
-                pa.name if pa else None,
-                pb.name if pb else None,
-                int(prio_a),
-                int(prio_b),
-                float(ext),
-            )
-            hit = self._cache.get(key)
-            if hit is not None:
-                out[qi] = hit
-            else:
-                misses.setdefault(key, []).append(qi)
-        if misses:
-            pending = [queries[indices[0]] for indices in misses.values()]
-            solved = solve_stack(self, pending)
-            for key, value in zip(misses, solved):
-                self._cache.put(key, value)
-                for qi in misses[key]:
-                    out[qi] = value
-        return out
-
     def chip_ipc_stack(self, chip_states):
-        """Batched :meth:`chip_ipc`: solve many whole-chip states at once.
+        """:meth:`chip_ipc` over a sequence of ``core_states`` tuples.
 
-        ``chip_states`` is a sequence of ``core_states`` tuples (each as
-        :meth:`chip_ipc` takes). Returns one per-chip result tuple per
-        state, bit-identical to looping :meth:`chip_ipc` — the coupling
-        sweep runs stage-parallel across the independent chip states,
-        which is sound because the core solve is a pure function of its
-        query (exact memo keys), so the per-state traffic sequence never
-        depends on what else is in the stack. Repeated states are looked
-        up and solved once per call. Results land in the same memo
-        caches scalar queries use.
+        One per-chip result tuple per state; repeated states are memo
+        hits after their first solve. ``perfbench/layers.py`` wraps this
+        method by name to count batched chip states.
         """
-        keys = []
-        solved: Dict[tuple, Tuple[Tuple[float, float], ...]] = {}
-        pending: Dict[tuple, tuple] = {}  # chip key -> core_states (misses)
-        for core_states in chip_states:
-            key = _chip_key(core_states)
-            keys.append(key)
-            if key in solved or key in pending:
-                continue
-            hit = self._chip_cache.get(key)
-            if hit is not None:
-                solved[key] = hit
-            else:
-                pending[key] = core_states
-        if not pending:
-            return [solved[key] for key in keys]
-
-        queries = [
-            (pa, pb, xa, xb, 0.0)
-            for core_states in pending.values()
-            for (pa, pb, xa, xb) in core_states
-        ]
-        results = self._core_ipc_batch(queries)
-        for _ in range(2):
-            queries = []
-            cursor = 0
-            for core_states in pending.values():
-                span = results[cursor:cursor + len(core_states)]
-                cursor += len(core_states)
-                traffics = []
-                for (pa, pb, _xa, _xb), (ia, ib) in zip(core_states, span):
-                    t = 0.0
-                    if pa is not None:
-                        t += self._off_l1_rate(pa, ia)
-                    if pb is not None:
-                        t += self._off_l1_rate(pb, ib)
-                    traffics.append(t)
-                total = sum(traffics)
-                queries.extend(
-                    (pa, pb, xa, xb, total - t)
-                    for (pa, pb, xa, xb), t in zip(core_states, traffics)
-                )
-            results = self._core_ipc_batch(queries)
-
-        cursor = 0
-        for key, core_states in pending.items():
-            span = tuple(results[cursor:cursor + len(core_states)])
-            cursor += len(core_states)
-            self._chip_cache.put(key, span)
-            solved[key] = span
-        return [solved[key] for key in keys]
+        return [self.chip_ipc(core_states) for core_states in chip_states]
 
     # -- cache accounting -------------------------------------------------------
 

@@ -10,6 +10,7 @@ without hand-tuned magic numbers.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.errors import WorkloadError
@@ -26,7 +27,9 @@ def validate_works(works: Sequence[float]) -> List[float]:
     out = []
     for i, w in enumerate(works):
         w = float(w)
-        if not w >= 0.0:  # also catches NaN
+        if not math.isfinite(w):
+            raise WorkloadError(f"work[{i}] must be finite, got {w}")
+        if w < 0.0:
             raise WorkloadError(f"work[{i}] must be >= 0, got {w}")
         out.append(w)
     if sum(out) == 0.0:

@@ -145,6 +145,34 @@ class TestGeneratorCorpora:
         spec = KIND_SPECS["barrier_loop"]
         assert_batch_equivalent("analytic", [spec, spec, spec])
 
+    def test_analytic_mixed_topology_batch(self):
+        # Two-node specs solve one chip per node; interleaving them with
+        # single-chip specs must keep every result at its spec's index.
+        cluster = [
+            ScenarioSpec(
+                name=f"eq-cluster-{i}",
+                kind="distant_pairs",
+                works=tuple(1.0e9 + 2.5e8 * ((r + i) % 5) for r in range(8)),
+                iterations=2,
+                priorities=((0, 5 + i), (4, 6)),
+                params={"exchange_bytes": 8_000_000},
+                topology={"n_nodes": 2},
+            )
+            for i in range(2)
+        ]
+        specs = [
+            cluster[0],
+            KIND_SPECS["barrier_loop"],
+            KIND_SPECS["btmz"],
+            cluster[1],
+            KIND_SPECS["metbench"],
+        ]
+        assert_batch_equivalent("analytic", specs)
+        batch = _fresh("analytic").run_batch(specs)
+        assert [r.spec_fingerprint for r in batch] == [
+            s.fingerprint for s in specs
+        ]
+
 
 class TestMappingDistinctBatches:
     """Spec v2 explicit mappings through the batch path: the coalescing
@@ -214,7 +242,7 @@ class TestBatchProtocol:
         strategies = {e.name: e.batch_strategy for e in all_engines()}
         assert strategies == {
             "fluid": "loop",
-            "analytic": "vectorized",
+            "analytic": "loop",
             "cycle": "shared-table",
         }
 

@@ -56,3 +56,11 @@ class TestBarrierLoop:
     def test_zero_iterations_rejected(self):
         with pytest.raises(WorkloadError):
             barrier_loop_programs([1e9], iterations=0)
+
+    def test_infinite_work_rejected(self):
+        # Rejected at the workload boundary, before the runtime could
+        # stall on a rank that never finishes.
+        with pytest.raises(WorkloadError, match="must be finite"):
+            barrier_loop_programs(
+                [float("inf"), 1e9, 1e9, 1e9], iterations=1
+            )

@@ -32,6 +32,10 @@ class TestConfig:
         with pytest.raises(WorkloadError):
             MetBenchConfig(works=[1e9], worker_loads=["hpc", "fpu"])
 
+    def test_infinite_work_rejected(self):
+        with pytest.raises(WorkloadError, match="must be finite"):
+            MetBenchConfig(works=[float("inf"), 1e9], iterations=1)
+
     def test_n_ranks(self):
         assert MetBenchConfig(works=[1, 2, 3]).n_ranks == 3
         assert MetBenchConfig(works=[1, 2, 3], explicit_master=True).n_ranks == 4
