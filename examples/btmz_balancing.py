@@ -8,13 +8,16 @@ example contrasts the classic approaches with the paper's:
    related-work baseline): balanced, but must be redone per input;
 2. *the paper's mechanism* — keep the naive distribution, re-pair ranks
    (heaviest with lightest) and re-divide each core's decode slots;
-3. *the automated advisor* — profile once, plan, verify.
+3. *the automated planner* — the ``propshare`` policy plans priorities
+   from the whole-run work profile on the re-paired layout, and the
+   fluid engine verifies the plan.
 
 Run:  python examples/btmz_balancing.py
 """
 
 from repro import ProcessMapping, System, SystemConfig, paper_mapping
-from repro.core import Advisor
+from repro.policies import apply_policy, get_policy
+from repro.scenarios import ScenarioSpec, get_engine
 from repro.util.tables import TextTable
 from repro.workloads import ZoneGrid, bt_mz_programs
 
@@ -44,11 +47,15 @@ results["priority balancing (paper case C)"] = system.run(
     priorities={0: 4, 1: 4, 2: 6, 3: 6},
 )
 
-report = Advisor(system).advise(
-    lambda: bt_mz_programs(naive_works, iterations=ITER, profile="cfd",
-                           init_factor=0.5),
+spec = ScenarioSpec(
+    name="btmz-naive", kind="btmz", works=tuple(naive_works),
+    iterations=ITER, profile="cfd", mapping="btmz",
+    params={"init_factor": 0.5},
 )
-results["advisor (profile -> plan)"] = report.balanced
+planned, options = apply_policy(get_policy("propshare"), spec)
+results["propshare policy (profile -> plan)"] = get_engine("fluid").run(
+    planned, options=options
+)
 
 table = TextTable(["approach", "exec time", "imbalance %", "vs naive"],
                   title="BT-MZ balancing approaches")
@@ -59,4 +66,4 @@ for name, run in results.items():
                    f"{run.imbalance_percent:.1f}", f"{delta:+.1f}%"])
 print()
 print(table.render())
-print(f"\nadvisor's plan: {report.assignment.describe()}")
+print(f"\npropshare's priorities: {dict(planned.priorities)}")

@@ -882,7 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="show: the leaderboard artifact to render")
     p_tour.add_argument("--policies", default=None, metavar="A,B,C",
                         help="comma-separated policy names "
-                        "(default: every built-in)")
+                        "(default: the seven priority built-ins, "
+                        "DEFAULT_POLICIES)")
     p_tour.add_argument("--corpus", default="mixed",
                         choices=("fuzz", "siesta", "mixed", "metbtmz",
                                  "cluster"),

@@ -8,10 +8,10 @@
   waiting times.
 * :mod:`repro.core.search` — exhaustive/greedy search over mappings and
   priorities (automating the paper's manual case A->B->C->D iteration).
-* :mod:`repro.core.advisor` — profile -> plan -> verify pipeline.
-* :mod:`repro.core.policy` — the :class:`Policy` protocol unifying both
-  balancing families behind one fingerprintable interface (the zoo and
-  the tournament live above, in :mod:`repro.policies`).
+* :mod:`repro.core.policy` — the :class:`Policy` protocol unifying the
+  four balancing families behind one fingerprintable interface and one
+  ``apply`` call (the zoo and the tournament live above, in
+  :mod:`repro.policies`).
 
 This package is the import surface: consumers outside ``core`` should
 import these names from ``repro.core``, not from the submodules.
@@ -46,7 +46,6 @@ from repro.core.search import (
     paired_adjacent_mapping,
     two_level_search,
 )
-from repro.core.advisor import Advisor, AdvisorReport, PolicyRecommendation
 
 __all__ = [
     "PriorityAssignment",
@@ -78,7 +77,4 @@ __all__ = [
     "paired_extremes_mapping",
     "paired_adjacent_mapping",
     "two_level_search",
-    "Advisor",
-    "AdvisorReport",
-    "PolicyRecommendation",
 ]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.balancer import Balancer, PriorityAssignment
 from repro.errors import ConfigurationError, ValidationError
@@ -67,6 +67,7 @@ __all__ = [
 POLICY_FAMILIES = ("static", "dynamic", "allocation", "placement")
 
 _ParamValue = Union[int, float, str, bool]
+Plan = Tuple[Dict[str, object], Optional[Dict[str, object]]]
 
 
 def _freeze_params(
@@ -162,20 +163,36 @@ class PolicySpec:
 class Policy:
     """A balancing policy: a fingerprintable contender in the tournament.
 
-    Subclasses declare which family they belong to by deriving from
-    :class:`StaticPolicy` or :class:`DynamicPolicy` and implement
-    :meth:`spec` so every parameterisation has a canonical identity.
+    Subclasses derive from one of the four family bases, which
+    implement :meth:`apply`, and implement :meth:`spec` so every
+    parameterisation has a canonical identity.
     """
 
     #: Zoo name; also the leaderboard row label.
     name: str = ""
-    #: "static" or "dynamic" — set by the family base class.
+    #: One of :data:`POLICY_FAMILIES` — set by the family base class.
     family: str = ""
     description: str = ""
 
     @abstractmethod
     def spec(self) -> PolicySpec:
         """The serialisable identity of this exact parameterisation."""
+
+    def apply(self, works, mapping, profiles=None, topology=None) -> Plan:
+        """One cell's plan from per-rank whole-run ``works``.
+
+        ``mapping`` is the incumbent layout, ``profiles`` the per-rank
+        load profiles (or ``None``) and ``topology`` the cluster shape
+        (``n_nodes``/``cpus_per_node``; ``None`` on one chip). Returns
+        ``(changes, options)``: the scenario fields to replace — empty
+        when the plan is a no-op, so the caller keeps the incumbent's
+        bytes — and the engine options, or ``None``. Each family owns
+        its no-op test.
+        """
+        raise ConfigurationError(
+            f"policy {self.name!r} belongs to no known family "
+            "(static, dynamic, allocation or placement)"
+        )
 
     @property
     def fingerprint(self) -> str:
@@ -201,6 +218,13 @@ class StaticPolicy(Policy, Balancer):
     def plan(self, compute_seconds, mapping) -> PriorityAssignment:
         """See :meth:`repro.core.balancer.Balancer.plan`."""
 
+    def apply(self, works, mapping, profiles=None, topology=None) -> Plan:
+        """The assignment's priorities; an all-MEDIUM plan is a no-op."""
+        assignment = self.plan(works, mapping)
+        if all(p == 4 for _, p in assignment.priorities):
+            return {}, None
+        return {"priorities": assignment.priorities}, None
+
 
 class DynamicPolicy(Policy):
     """The runtime family: a factory of fresh per-run controllers.
@@ -216,6 +240,10 @@ class DynamicPolicy(Policy):
     @abstractmethod
     def controller(self):
         """A fresh runtime controller for one run."""
+
+    def apply(self, works, mapping, profiles=None, topology=None) -> Plan:
+        """No scenario change; a ``controllers`` factory for the engine."""
+        return {}, {"controllers": lambda: [self.controller()]}
 
 
 class AllocationPolicy(Policy):
@@ -248,6 +276,15 @@ class AllocationPolicy(Policy):
         profile names) so ILP-aware policies can weigh decode appetite,
         not just work.
         """
+
+    def apply(self, works, mapping, profiles=None, topology=None) -> Plan:
+        """The planned mapping; one in the incumbent's symmetry class
+        (same :meth:`~repro.machine.mapping.ProcessMapping.canonical`
+        form, see ``docs/mapping.md``) is a no-op."""
+        planned = self.plan_mapping(works, mapping, profiles=profiles)
+        if planned.canonical().rank_to_cpu == mapping.canonical().rank_to_cpu:
+            return {}, None
+        return {"mapping": planned.rank_to_cpu}, None
 
 
 class PlacementPolicy(Policy):
@@ -283,3 +320,20 @@ class PlacementPolicy(Policy):
         counts, insufficient capacity); the returned mapping must cover
         the same ranks within ``n_nodes * cpus_per_node`` global CPUs.
         """
+
+    def apply(self, works, mapping, profiles=None, topology=None) -> Plan:
+        """The planned global mapping; a no-op on one chip (no
+        ``topology``) or when it matches the incumbent CPU for CPU."""
+        if topology is None:
+            return {}, None
+        planned = self.plan_placement(
+            works,
+            mapping,
+            n_nodes=topology.n_nodes,
+            cpus_per_node=topology.cpus_per_node,
+        )
+        # Exact-CPU comparison on purpose: canonical() would repack
+        # across node boundaries (see docs/cluster.md).
+        if planned.rank_to_cpu == mapping.rank_to_cpu:
+            return {}, None
+        return {"mapping": planned.rank_to_cpu}, None

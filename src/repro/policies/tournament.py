@@ -6,9 +6,10 @@ cells, which seed, which engine). Every policy runs the same seeded
 corpus; static policies are applied up front (their
 :class:`~repro.core.PriorityAssignment` becomes the spec's static
 priorities), dynamic policies ride the fluid engine's ``controllers``
-option, and allocation policies rewrite the spec's *mapping* (the
-thread-to-core axis) while leaving priorities at MEDIUM — all three
-families go through ``Engine.run_batch``, so a 7-policy × 50-cell
+option, and allocation and placement policies rewrite the spec's
+*mapping* (the thread-to-core and rank-to-node axes) while leaving
+priorities at MEDIUM — every family goes through one
+:func:`apply_policy` call and ``Engine.run_batch``, so a 7-policy × 50-cell
 tournament is 8 batched sweeps, not 400 scalar runs. When a
 tournament fields both allocation and priority policies the rendered
 leaderboard appends a mapping-vs-priority differential line
@@ -34,13 +35,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import (
-    AllocationPolicy,
-    DynamicPolicy,
-    PlacementPolicy,
-    Policy,
-    StaticPolicy,
-)
+from repro.core import Policy
 from repro.errors import ConfigurationError, PersistenceError, ValidationError
 from repro.policies.corpus import CORPORA, tournament_corpus
 from repro.policies.zoo import DEFAULT_POLICIES, get_policy
@@ -455,59 +450,22 @@ def apply_policy(
 ) -> Tuple[ScenarioSpec, Optional[dict]]:
     """One cell's execution plan: ``(spec to run, engine options)``.
 
-    Static policies plan from the whole-run work profile
+    Every family plans from the whole-run work profile
     (:func:`planning_works` — the observable the paper's procedure
-    uses) and become static priorities on the spec. An all-MEDIUM plan
-    returns the spec *unchanged* so the no-op baseline keeps the corpus
-    spec's canonical bytes. Dynamic policies leave the spec alone and
-    return a ``controllers`` factory for the engine. Allocation
-    policies plan a :class:`~repro.machine.mapping.ProcessMapping` from
-    the same whole-run profile and it becomes the spec's mapping —
-    priorities stay untouched, so their rows isolate what placement
-    alone buys; a plan in the incumbent's symmetry class (see
-    ``docs/mapping.md``) returns the spec unchanged, exactly like the
-    static no-op.
+    uses) through :meth:`~repro.core.Policy.apply`: static policies
+    write priorities, allocation and placement policies write the
+    mapping, dynamic policies return a ``controllers`` factory for the
+    engine. A no-op plan returns the spec *itself*, so the no-op
+    baseline keeps the corpus spec's canonical bytes and the
+    baseline-reuse fast path in :func:`run_tournament` fires.
     """
-    if isinstance(policy, StaticPolicy):
-        assignment = policy.plan(planning_works(spec), spec.mapping_obj())
-        if all(p == 4 for _, p in assignment.priorities):
-            return spec, None
-        return replace(spec, priorities=assignment.priorities), None
-    if isinstance(policy, DynamicPolicy):
-        return spec, {"controllers": lambda: [policy.controller()]}
-    if isinstance(policy, AllocationPolicy):
-        incumbent = spec.mapping_obj()
-        planned = policy.plan_mapping(
-            planning_works(spec), incumbent, profiles=spec.profile
-        )
-        if planned.canonical().rank_to_cpu == incumbent.canonical().rank_to_cpu:
-            # Physics-equivalent to what the corpus drew: keep the
-            # original spec object so the baseline-reuse fast path and
-            # the canonical bytes survive.
-            return spec, None
-        return replace(spec, mapping=planned.rank_to_cpu), None
-    if isinstance(policy, PlacementPolicy):
-        if spec.topology is None:
-            # Placement has no meaning on one chip: exact no-op, so a
-            # placement policy in a single-chip tournament scores as the
-            # baseline instead of perturbing recorded fingerprints.
-            return spec, None
-        incumbent = spec.mapping_obj()
-        planned = policy.plan_placement(
-            planning_works(spec),
-            incumbent,
-            n_nodes=spec.topology.n_nodes,
-            cpus_per_node=spec.topology.cpus_per_node,
-        )
-        # Exact-CPU comparison on purpose: canonical() would repack
-        # across node boundaries (see docs/cluster.md).
-        if planned.rank_to_cpu == incumbent.rank_to_cpu:
-            return spec, None
-        return replace(spec, mapping=planned.rank_to_cpu), None
-    raise ConfigurationError(
-        f"policy {policy.name!r} belongs to no known family "
-        "(static, dynamic, allocation or placement)"
+    changes, options = policy.apply(
+        planning_works(spec),
+        spec.mapping_obj(),
+        profiles=spec.profile,
+        topology=spec.topology,
     )
+    return (replace(spec, **changes) if changes else spec), options
 
 
 def _observe_policy(name: str, improvements: Sequence[float]) -> None:
@@ -559,17 +517,16 @@ def run_tournament(
     t0 = time.perf_counter()
     policies = [get_policy(name) for name in config.policies]
     eng = engine if engine is not None else get_engine(config.engine)
-    for policy in policies:
-        if (
-            isinstance(policy, DynamicPolicy)
-            and "controllers" not in eng.option_names
-        ):
-            raise ConfigurationError(
-                f"policy {policy.name!r} is dynamic but engine "
-                f"{eng.name!r} has no controllers hook (use fluid)"
-            )
-
     specs = tournament_corpus(config.corpus, config.n_scenarios, config.seed)
+    plans = [[apply_policy(policy, spec) for spec in specs] for policy in policies]
+    for policy, cells in zip(policies, plans):
+        for _, options in cells:
+            unknown = sorted(set(options or ()) - set(eng.option_names))
+            if unknown:
+                raise ConfigurationError(
+                    f"policy {policy.name!r} needs engine options {unknown} "
+                    f"that engine {eng.name!r} does not take (use fluid)"
+                )
 
     # The ST baseline: the corpus exactly as drawn — no priority writes.
     baseline = _run_cells(
@@ -587,8 +544,7 @@ def run_tournament(
         )
 
     scores: List[PolicyScore] = []
-    for policy in policies:
-        cells = [apply_policy(policy, spec) for spec in specs]
+    for policy, cells in zip(policies, plans):
         options = None
         for _, cell_options in cells:
             if cell_options is not None:

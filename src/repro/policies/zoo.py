@@ -67,6 +67,7 @@ tournament`` and the scoring loop construct policies by name.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -76,6 +77,7 @@ from repro.core import (
     DynamicBalancerConfig,
     DynamicPolicy,
     PlacementPolicy,
+    Policy,
     PolicySpec,
     PriorityAssignment,
     StaticPolicy,
@@ -455,7 +457,10 @@ class RandomMappingPolicy(AllocationPolicy):
         mapping: ProcessMapping,
         profiles=None,
     ) -> ProcessMapping:
-        classes = candidate_mappings(mapping.n_ranks, n_cores=2)
+        # The smallest chip that holds every rank (never below the paper
+        # chip's two cores), so cluster-sized cells get a mapping too.
+        n_cores = max(2, math.ceil(mapping.n_ranks / 2))
+        classes = candidate_mappings(mapping.n_ranks, n_cores=n_cores)
         digest = fingerprint_doc(
             {"seed": self.seed, "works": [float(w) for w in compute_seconds]}
         )
@@ -613,7 +618,7 @@ class RandomPlacementPolicy(PlacementPolicy):
 # -- the registry --------------------------------------------------------------
 
 _LOCK = threading.Lock()
-_FACTORIES: Dict[str, Callable[[], "StaticPolicy | DynamicPolicy"]] = {}
+_FACTORIES: Dict[str, Callable[[], Policy]] = {}
 
 
 def register_policy(

@@ -298,6 +298,23 @@ class TestAllocationFamily:
         assert "axis wins this corpus" in evidence
         assert evidence in board.render()
 
+    def test_allocation_family_runs_on_the_cluster_corpus(self):
+        # 8-rank cluster cells need a 4-core mapping space, the random
+        # control's lottery included.
+        board = run_tournament(
+            TournamentConfig(
+                policies=("st",) + tuple(ALLOCATION_POLICIES),
+                corpus="cluster",
+                n_scenarios=2,
+                seed=0,
+            )
+        )
+        assert {s.policy for s in board.scores} == {"st"} | set(
+            ALLOCATION_POLICIES
+        )
+        for score in board.scores:
+            assert score.cells == 2
+
     def test_differential_evidence_needs_both_axes(self):
         board = run_tournament(small_config(n_scenarios=4))
         assert board.differential_evidence() is None
