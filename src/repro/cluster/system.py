@@ -3,9 +3,10 @@
 Builds a :class:`~repro.cluster.machine.ClusterMachine`, one kernel image
 spanning all nodes (each node runs the same patched/standard kernel; the
 scheduler pins by global CPU), and derives per-rank-pair communication
-costs from the node placement and the network model: intra-node pairs use
-shared-memory parameters, inter-node pairs the topology's latency and
-bandwidth (and a network-appropriate rendezvous threshold).
+costs from the node placement and the network model, as one table per
+run: intra-node pairs use shared-memory parameters, inter-node pairs the
+topology's latency and bandwidth (and a network-appropriate rendezvous
+threshold).
 """
 
 from __future__ import annotations
@@ -133,25 +134,36 @@ class ClusterSystem:
         return machine, hmt, scheduler, kernel
 
     def _pair_costs(self, machine: ClusterMachine, mapping: ProcessMapping):
-        """Resolve rank-pair transfer parameters from node placement."""
+        """Resolve the run's rank-pair transfer parameters from node
+        placement, as one rank x rank table built (and so validated) here.
+
+        Intra-node pairs use the base shared-memory costs; every pair
+        across the same two nodes shares one :class:`CommCosts` (network
+        models are symmetric in their two nodes).
+        """
         base = self.config.runtime.comm_costs
         network = self.config.network
-        rank_node = {
-            rank: machine.node_of_cpu(cpu) for rank, cpu in mapping.as_dict().items()
-        }
+        rank_node = [machine.node_of_cpu(cpu) for _rank, cpu in mapping.rank_to_cpu]
+        links: Dict[tuple, CommCosts] = {}
 
-        def costs(src: int, dst: int) -> CommCosts:
-            a, b = rank_node[src], rank_node[dst]
+        def link(a: int, b: int) -> CommCosts:
             if a == b:
                 return base
-            return CommCosts(
-                latency=base.latency + network.latency(a, b),
-                bandwidth=min(base.bandwidth, network.bandwidth(a, b)),
-                eager_threshold=self.config.network_eager_threshold,
-                call_overhead=base.call_overhead,
-            )
+            pair = (a, b) if a < b else (b, a)
+            costs = links.get(pair)
+            if costs is None:
+                costs = links[pair] = CommCosts(
+                    latency=base.latency + network.latency(*pair),
+                    bandwidth=min(base.bandwidth, network.bandwidth(*pair)),
+                    eager_threshold=self.config.network_eager_threshold,
+                    call_overhead=base.call_overhead,
+                )
+            return costs
 
-        return costs
+        # Ranks on one node share their row.
+        rows = {a: [link(a, b) for b in rank_node] for a in set(rank_node)}
+        table = [rows[a] for a in rank_node]
+        return lambda src, dst: table[src][dst]
 
     def run(
         self,

@@ -59,7 +59,7 @@ def _doc_number(kind: str, doc: Mapping[str, Any], field: str, default: Any) -> 
 
 
 class NetworkModel(ABC):
-    """Per-node-pair transfer parameters."""
+    """Per-node-pair transfer parameters, symmetric in the two nodes."""
 
     #: Wire-format discriminator; one of :data:`NETWORK_KINDS`.
     kind: ClassVar[str] = ""

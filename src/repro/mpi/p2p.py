@@ -127,13 +127,12 @@ class MessageEngine:
         if completions is None:
             self._sends[dst].append(posted)
             completions = []
-            if nbytes <= self.costs_for(src, dst).eager_threshold:
+            costs = self.costs_for(src, dst)
+            if nbytes <= costs.eager_threshold:
                 # Eager: the sender is done as soon as the transport has
                 # buffered the message; the transfer itself completes when
                 # the receive is eventually posted and matched.
-                completions.append(
-                    (time + self.costs_for(src, dst).call_overhead, req, None)
-                )
+                completions.append((time + costs.call_overhead, req, None))
                 posted.sender_released = True
         return req, completions
 

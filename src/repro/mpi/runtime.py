@@ -371,19 +371,6 @@ class MpiRuntime:
     def _push(self, time: float, kind: str, payload: object) -> None:
         heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
 
-    @property
-    def _rates_dirty(self) -> bool:
-        """Whether any group needs a rate re-solve (compat view of the
-        dirty set; assigning True marks every group)."""
-        return bool(self._dirty_groups)
-
-    @_rates_dirty.setter
-    def _rates_dirty(self, value: bool) -> None:
-        if value:
-            self._mark_all_dirty()
-        else:
-            self._dirty_groups.clear()
-
     def _mark_all_dirty(self) -> None:
         self._dirty_groups.update(range(len(self._core_groups)))
 

@@ -25,8 +25,9 @@ is validated against the cycle simulator in
 ``tests/smt/test_model_agreement.py``.
 
 Performance: the solver precomputes per-profile constants (latency terms
-in mix order, functional-unit coefficients, miss rates) so the fixed
-point runs on local floats — the arithmetic is kept term-for-term
+in mix order, per-FU-group fraction tuples, miss rates) so the fixed
+point runs as straight-line code for the two threads on local floats —
+the arithmetic is kept term-for-term
 identical to the definitional formulas, so results are bit-identical to
 an unoptimised evaluation. Solves are memoised at two levels with
 bounded LRU caches: per core state (``core_ipc``) and per whole
@@ -81,7 +82,8 @@ class AnalyticModelConfig:
     #: Cross-core coupling strength: fraction of the other core's off-L1
     #: traffic that contributes to this core's congestion.
     cross_core_factor: float = 0.5
-    #: Fixed-point iterations (converges in ~4 for all tested pairs).
+    #: Fixed-point iterations: a fixed count, always run in full (no
+    #: early exit is taken).
     iterations: int = 8
     #: Damping of the fixed-point update in (0, 1].
     damping: float = 0.7
@@ -116,27 +118,28 @@ def _chip_key(core_states) -> tuple:
 class _ProfileConsts:
     """Precomputed per-profile solver inputs (mix order preserved)."""
 
-    __slots__ = (
-        "ilp",
-        "l1_miss",
-        "l2_miss",
-        "l3_miss",
-        "mem_frac",
-        "lat_terms",
-        "fu_terms",
-        "solo_plain",
-    )
+    __slots__ = ("ilp", "l1_miss", "l2_miss", "l3_miss", "l2_hit", "l3_hit",
+                 "off_l1_hit3", "off_l1_miss", "mem_frac", "lat_terms", "fu_fracs",
+                 "solo_plain")
 
-    def __init__(self, ilp, l1_miss, l2_miss, l3_miss, mem_frac, lat_terms, fu_terms):
-        self.ilp = ilp
-        self.l1_miss = l1_miss
-        self.l2_miss = l2_miss
-        self.l3_miss = l3_miss
-        self.mem_frac = mem_frac
-        #: (is_memory_op, mix_fraction, fixed_latency) in mix order.
+    def __init__(self, profile: LoadProfile, lat_terms, fu_fracs) -> None:
+        self.ilp = profile.ilp
+        self.l1_miss = profile.l1_miss_rate
+        self.l2_miss = l2 = profile.l2_miss_rate
+        self.l3_miss = l3 = profile.l3_miss_rate
+        self.l2_hit = 1.0 - l2
+        self.l3_hit = 1.0 - l3
+        #: L3-hit and memory probabilities of an access that missed L1.
+        self.off_l1_hit3 = l2 * self.l3_hit
+        self.off_l1_miss = l2 * l3
+        self.mem_frac = profile.memory_fraction
+        #: (mix_fraction, fixed_latency, fraction * fixed_latency) in mix
+        #: order, zero fractions dropped; the product is None for memory
+        #: ops, whose latency depends on the congested hierarchy.
         self.lat_terms = lat_terms
-        #: (fu_group, mix_fraction) in mix order, zero fractions dropped.
-        self.fu_terms = fu_terms
+        #: Per FU group (in capacity order), the group's mix fractions in
+        #: mix order, zero fractions dropped (LSU carries loads and stores).
+        self.fu_fracs = fu_fracs
         self.solo_plain = 0.0  # filled by the model (needs cache latencies)
 
 
@@ -172,94 +175,77 @@ class AnalyticThroughputModel:
         )
         self._share_cache: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._consts: Dict[str, _ProfileConsts] = {}
-        self._fu_caps = self._fu_capacity()
-        # Cache-level latencies, hoisted for the inlined expected-latency.
+        # Ops/cycle capacity per physical unit group (LSU shared by LD/ST).
+        fu_caps: Dict[str, float] = {}
+        for cls, spec in self.fu_specs.items():
+            group = "LSU" if cls in (InstrClass.LOAD, InstrClass.STORE) else spec.name
+            fu_caps[group] = float(spec.count) / float(spec.initiation_interval)
+        self._fu_groups = tuple(fu_caps)
+        self._fu_caps = tuple(fu_caps.values())
+        self._no_fus = ((),) * len(fu_caps)
+        # Hierarchy constants, hoisted for the inlined expected latency.
         self._lat_l1 = self.caches.levels["l1"].latency
         self._lat_l2 = self.caches.levels["l2"].latency
         self._lat_l3 = self.caches.levels["l3"].latency
         self._lat_mem = self.caches.memory.latency
+        self._mshrs = self.caches.memory.mshrs_per_core
 
     # -- building blocks -------------------------------------------------------
 
-    def _profile_consts(self, profile: LoadProfile) -> _ProfileConsts:
+    def _profile_consts(self, profile: Optional[LoadProfile]):
+        """The profile's :class:`_ProfileConsts` (``None`` when idle)."""
+        if profile is None:
+            return None
         consts = self._consts.get(profile.name)
         if consts is not None:
             return consts
-        cfg = self.config
+        flush = profile.branch_mispredict_rate * self.config.branch_flush_penalty
         lat_terms = []
         fu_terms = []
         for cls, frac in profile.mix.items():
             spec = self.fu_specs[cls]
-            if cls in (InstrClass.LOAD, InstrClass.STORE):
-                lat_terms.append((True, frac, float(spec.latency)))
-                group = "LSU"
-            else:
-                if cls is InstrClass.BRANCH:
-                    fixed = float(spec.latency) + (
-                        profile.branch_mispredict_rate * cfg.branch_flush_penalty
-                    )
-                else:
-                    fixed = float(spec.latency)
-                lat_terms.append((False, frac, fixed))
-                group = spec.name
+            fixed = float(spec.latency)
+            if cls is InstrClass.BRANCH:
+                fixed += flush
+            memory = cls in (InstrClass.LOAD, InstrClass.STORE)
             if frac != 0.0:
-                fu_terms.append((group, frac))
-        consts = _ProfileConsts(
-            ilp=profile.ilp,
-            l1_miss=profile.l1_miss_rate,
-            l2_miss=profile.l2_miss_rate,
-            l3_miss=profile.l3_miss_rate,
-            mem_frac=profile.memory_fraction,
-            lat_terms=tuple(lat_terms),
-            fu_terms=tuple(fu_terms),
+                lat_terms.append((frac, fixed, None if memory else frac * fixed))
+                fu_terms.append(("LSU" if memory else spec.name, frac))
+        fu_fracs = tuple(
+            tuple(frac for g, frac in fu_terms if g == group)
+            for group in self._fu_groups
         )
-        consts.solo_plain = self._demand(consts, 0.0, 0.0)
+        consts = _ProfileConsts(profile, tuple(lat_terms), fu_fracs)
+        consts.solo_plain = self._demand(
+            consts, 0.0, self._lat_l2, self._lat_l3, self._lat_mem
+        )
         self._consts[profile.name] = consts
         return consts
 
-    def _expected_latency(
-        self, l1_miss: float, l2_miss: float, l3_miss: float, congestion: float
+    def _demand(
+        self, c: _ProfileConsts, l1_tax: float, lat2: float, lat3: float, lat_mem: float
     ) -> float:
-        """`CacheHierarchy.expected_latency`, term-for-term, on hoisted
-        latencies (the hierarchy's validation is redundant here: profile
-        miss rates are validated at construction)."""
-        hit1 = 1.0 - l1_miss
-        hit2 = l1_miss * (1.0 - l2_miss)
-        hit3 = l1_miss * l2_miss * (1.0 - l3_miss)
-        miss = l1_miss * l2_miss * l3_miss
-        return (
-            hit1 * self._lat_l1
-            + hit2 * (self._lat_l2 + congestion)
-            + hit3 * (self._lat_l3 + 2 * congestion)
-            + miss * (self._lat_mem + 3 * congestion)
+        """Back-end-unconstrained IPC from precomputed constants, given
+        the congested L2/L3/memory latencies (``latency + k * congestion``
+        at the k-th level below L1). The memory latency is
+        ``CacheHierarchy.expected_latency``, term for term, minus its
+        validation (profile miss rates are validated at construction)."""
+        l1_miss = min(1.0, c.l1_miss * (1.0 + l1_tax))
+        l12 = l1_miss * c.l2_miss
+        mem_lat = (
+            (1.0 - l1_miss) * self._lat_l1
+            + l1_miss * c.l2_hit * lat2
+            + l12 * c.l3_hit * lat3
+            + l12 * c.l3_miss * lat_mem
         )
-
-    def _demand(self, c: _ProfileConsts, congestion: float, l1_tax: float) -> float:
-        """Back-end-unconstrained IPC from precomputed constants."""
-        l1_miss = min(1.0, c.l1_miss * (1.0 + l1_tax))
-        mem_lat = self._expected_latency(l1_miss, c.l2_miss, c.l3_miss, congestion)
         total = 0.0
-        for is_mem, frac, fixed in c.lat_terms:
-            if frac == 0.0:
-                continue
-            lat = max(fixed, mem_lat) if is_mem else fixed
-            total += frac * lat
-        return c.ilp / (1.0 + (total - 1.0) / c.ilp)
-
-    def mean_instruction_latency(
-        self, profile: LoadProfile, congestion: float = 0.0, l1_tax: float = 0.0
-    ) -> float:
-        """Mix-weighted expected latency of one instruction, in cycles."""
-        c = self._profile_consts(profile)
-        l1_miss = min(1.0, c.l1_miss * (1.0 + l1_tax))
-        mem_lat = self._expected_latency(l1_miss, c.l2_miss, c.l3_miss, congestion)
-        total = 0.0
-        for is_mem, frac, fixed in c.lat_terms:
-            if frac == 0.0:
-                continue
-            lat = max(fixed, mem_lat) if is_mem else fixed
-            total += frac * lat
-        return total
+        for frac, fixed, product in c.lat_terms:
+            if product is None:
+                total += frac * (mem_lat if mem_lat > fixed else fixed)
+            else:
+                total += product
+        ilp = c.ilp
+        return ilp / (1.0 + (total - 1.0) / ilp)
 
     def solo_demand(
         self, profile: LoadProfile, congestion: float = 0.0, l1_tax: float = 0.0
@@ -272,25 +258,13 @@ class AnalyticThroughputModel:
         cost is ``1/ilp * (1 + (E[lat]-1)/ilp)`` chain-cycles... folded:
         ``demand = ilp / (1 + (E[lat]-1)/ilp)``.
         """
-        return self._demand(self._profile_consts(profile), congestion, l1_tax)
-
-    def _fu_capacity(self) -> Dict[str, float]:
-        """Ops/cycle capacity per physical unit group (LSU shared by LD/ST)."""
-        caps: Dict[str, float] = {}
-        for cls, spec in self.fu_specs.items():
-            group = "LSU" if cls in (InstrClass.LOAD, InstrClass.STORE) else spec.name
-            caps[group] = float(spec.count) / float(spec.initiation_interval)
-        return caps
-
-    def _fu_group(self, cls: InstrClass) -> str:
-        if cls in (InstrClass.LOAD, InstrClass.STORE):
-            return "LSU"
-        return self.fu_specs[cls].name
-
-    def _off_l1_rate(self, profile: LoadProfile, ipc: float) -> float:
-        """Off-L1 accesses per cycle generated by a thread at ``ipc``."""
-        c = self._profile_consts(profile)
-        return ipc * c.mem_frac * c.l1_miss
+        return self._demand(
+            self._profile_consts(profile),
+            l1_tax,
+            self._lat_l2 + congestion,
+            self._lat_l3 + 2 * congestion,
+            self._lat_mem + 3 * congestion,
+        )
 
     def _decode_share(self, prio_a: int, prio_b: int) -> Tuple[float, float]:
         hit = self._share_cache.get((prio_a, prio_b))
@@ -314,116 +288,137 @@ class AnalyticThroughputModel:
         ``external_traffic`` is off-L1 accesses/cycle arriving from the
         *other* core (cross-core L2/L3 contention); see :meth:`chip_ipc`.
         """
-        key = (
-            profile_a.name if profile_a else None,
-            profile_b.name if profile_b else None,
-            int(prio_a),
-            int(prio_b),
-            float(external_traffic),
+        (state,) = _chip_key(((profile_a, profile_b, prio_a, prio_b),))
+        consts = self._profile_consts
+        return self._core_lookup(
+            state, consts(profile_a), consts(profile_b), float(external_traffic)
         )
+
+    def _core_lookup(
+        self,
+        state: tuple,
+        c_a: Optional[_ProfileConsts],
+        c_b: Optional[_ProfileConsts],
+        external_traffic: float,
+    ) -> Tuple[float, float]:
+        """The core memo: ``state`` is ``(load_a, load_b, prio_a, prio_b)``
+        by profile name, keyed together with the exact traffic."""
+        key = state + (external_traffic,)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        result = self._solve(profile_a, profile_b, int(prio_a), int(prio_b), external_traffic)
+        result = self._solve(c_a, c_b, state[2], state[3], external_traffic)
         self._cache.put(key, result)
         return result
 
     def _solve(
         self,
-        profile_a: Optional[LoadProfile],
-        profile_b: Optional[LoadProfile],
+        c_a: Optional[_ProfileConsts],
+        c_b: Optional[_ProfileConsts],
         prio_a: int,
         prio_b: int,
         external_traffic: float,
     ) -> Tuple[float, float]:
+        """The damped fixed point for threads ``a`` and ``b``.
+
+        A thread without a load or without decode share is inactive: its
+        constants become ``None`` and it contributes nothing. Every sum
+        keeps the term order of the definitional formulas (thread ``a``
+        before ``b``, mix order within a thread), so results are
+        bit-identical to an unoptimised evaluation.
+        """
         cfg = self.config
         share_a, share_b = self._decode_share(prio_a, prio_b)
-        shares = (share_a, share_b)
-        consts = tuple(
-            self._profile_consts(p) if p is not None else None
-            for p in (profile_a, profile_b)
-        )
-        active = [c is not None and s > 0.0 for c, s in zip(consts, shares)]
-        both_active = all(active)
-        caps = self._fu_caps
-
-        supply = [
-            (s * cfg.decode_width if act else 0.0) for s, act in zip(shares, active)
-        ]
-        solo = [c.solo_plain if act else 0.0 for c, act in zip(consts, active)]
-        x = [
-            min(sup, so) if act else 0.0
-            for sup, so, act in zip(supply, solo, active)
-        ]
+        if c_a is not None and share_a > 0.0:
+            supply_a = share_a * cfg.decode_width
+            solo_a = c_a.solo_plain
+            x_a = min(supply_a, solo_a)
+            fu_a = c_a.fu_fracs
+        else:
+            c_a, supply_a, solo_a, x_a, fu_a = None, 0.0, 0.0, 0.0, self._no_fus
+        if c_b is not None and share_b > 0.0:
+            supply_b = share_b * cfg.decode_width
+            solo_b = c_b.solo_plain
+            x_b = min(supply_b, solo_b)
+            fu_b = c_b.fu_fracs
+        else:
+            c_b, supply_b, solo_b, x_b, fu_b = None, 0.0, 0.0, 0.0, self._no_fus
+        # L1 pressure from the sibling scales with how fast the sibling
+        # actually runs: a decode-starved (or idle) co-runner evicts less.
+        taxed_a = c_a is not None and c_b is not None and solo_b > 0
+        taxed_b = c_a is not None and c_b is not None and solo_a > 0
 
         congestion_cycles = cfg.congestion_cycles
         l1_sharing_tax = cfg.l1_sharing_tax
         base_traffic = external_traffic * cfg.cross_core_factor
         damping = cfg.damping
+        lat_l2, lat_l3, lat_mem = self._lat_l2, self._lat_l3, self._lat_mem
+        # Groups neither thread uses never bind; skip them.
+        fu_groups = tuple(g for g in zip(self._fu_caps, fu_a, fu_b) if g[1] or g[2])
 
         for _ in range(cfg.iterations):
             # Congestion from combined off-L1 traffic (plus cross-core).
             traffic = base_traffic
-            for c, xi, act in zip(consts, x, active):
-                if act:
-                    traffic += xi * c.mem_frac * c.l1_miss
+            if c_a is not None:
+                traffic += x_a * c_a.mem_frac * c_a.l1_miss
+            if c_b is not None:
+                traffic += x_b * c_b.mem_frac * c_b.l1_miss
             congestion = congestion_cycles * traffic
+            lat2 = lat_l2 + congestion
+            lat3 = lat_l3 + 2 * congestion
+            lat_m = lat_mem + 3 * congestion
 
-            new_x = []
-            for i, (c, act) in enumerate(zip(consts, active)):
-                if not act:
-                    new_x.append(0.0)
-                    continue
-                # L1 pressure from the sibling scales with how fast the
-                # sibling actually runs: a decode-starved (or idle)
-                # co-runner evicts less.
-                j = 1 - i
-                if both_active and solo[j] > 0:
-                    l1_tax = l1_sharing_tax * min(1.0, x[j] / solo[j])
-                else:
-                    l1_tax = 0.0
-                demand = self._demand(c, congestion, l1_tax)
-                new_x.append(min(supply[i], demand))
+            new_a = new_b = 0.0
+            if c_a is not None:
+                l1_tax = l1_sharing_tax * min(1.0, x_b / solo_b) if taxed_a else 0.0
+                new_a = min(supply_a, self._demand(c_a, l1_tax, lat2, lat3, lat_m))
+            if c_b is not None:
+                l1_tax = l1_sharing_tax * min(1.0, x_a / solo_a) if taxed_b else 0.0
+                new_b = min(supply_b, self._demand(c_b, l1_tax, lat2, lat3, lat_m))
 
             # Joint FU capacity: proportional scaling by the worst group.
             scale = 1.0
-            for group, cap in caps.items():
+            for cap, fracs_a, fracs_b in fu_groups:
                 util = 0.0
-                for c, xi, act in zip(consts, new_x, active):
-                    if act:
-                        for g, frac in c.fu_terms:
-                            if g == group:
-                                util += xi * frac
+                for frac in fracs_a:
+                    util += new_a * frac
+                for frac in fracs_b:
+                    util += new_b * frac
                 if util > cap:
                     scale = min(scale, cap / util)
             if scale < 1.0:
-                new_x = [xi * scale for xi in new_x]
+                new_a *= scale
+                new_b *= scale
 
             # Memory bandwidth: outstanding misses bounded by MSHRs.
-            off_l1 = 0
-            for c, xi, act in zip(consts, new_x, active):
-                if act:
-                    off_l1 += xi * c.mem_frac * c.l1_miss
+            off_a = new_a * c_a.mem_frac * c_a.l1_miss if c_a is not None else 0.0
+            off_b = new_b * c_b.mem_frac * c_b.l1_miss if c_b is not None else 0.0
+            off_l1 = off_a + off_b
             if off_l1 > 0:
                 # Average service latency of an off-L1 access across threads.
                 lat_num = 0.0
-                for c, xi, act in zip(consts, new_x, active):
-                    if not act or c.mem_frac == 0.0:
-                        continue
-                    lat = self._expected_latency(1.0, c.l2_miss, c.l3_miss, congestion)
-                    lat_num += xi * c.mem_frac * c.l1_miss * lat
-                mean_lat = lat_num / off_l1 if off_l1 else 0.0
+                if c_a is not None and c_a.mem_frac != 0.0:
+                    lat_num += off_a * (
+                        c_a.l2_hit * lat2 + c_a.off_l1_hit3 * lat3
+                        + c_a.off_l1_miss * lat_m
+                    )
+                if c_b is not None and c_b.mem_frac != 0.0:
+                    lat_num += off_b * (
+                        c_b.l2_hit * lat2 + c_b.off_l1_hit3 * lat3
+                        + c_b.off_l1_miss * lat_m
+                    )
+                mean_lat = lat_num / off_l1
                 if mean_lat > 0:
-                    mem_cap = self.caches.memory.mshrs_per_core / mean_lat
+                    mem_cap = self._mshrs / mean_lat
                     if off_l1 > mem_cap:
                         mem_scale = mem_cap / off_l1
-                        new_x = [xi * mem_scale for xi in new_x]
+                        new_a *= mem_scale
+                        new_b *= mem_scale
 
-            x = [
-                xi + damping * (nxi - xi) for xi, nxi in zip(x, new_x)
-            ]
+            x_a = x_a + damping * (new_a - x_a)
+            x_b = x_b + damping * (new_b - x_b)
 
-        return (max(0.0, x[0]), max(0.0, x[1]))
+        return (max(0.0, x_a), max(0.0, x_b))
 
     def chip_ipc(
         self,
@@ -441,26 +436,33 @@ class AnalyticThroughputModel:
         Whole-group results are memoised (bounded LRU) on the tuple of
         per-core ``(load_a, load_b, prio_a, prio_b)`` states: MPI phase
         structure revisits the same machine states constantly, so the
-        runtime's rate recomputation usually resolves to one lookup.
+        runtime's rate recomputation usually resolves to one lookup. On a
+        miss, each core's entry of that key is its core-memo state.
         """
         key = _chip_key(core_states)
         hit = self._chip_cache.get(key)
         if hit is not None:
             return hit
-        results = [self.core_ipc(pa, pb, xa, xb) for (pa, pb, xa, xb) in core_states]
+        consts = self._profile_consts
+        cores = [
+            (state, consts(pa), consts(pb))
+            for state, (pa, pb, _xa, _xb) in zip(key, core_states)
+        ]
+        lookup = self._core_lookup
+        results = [lookup(state, c_a, c_b, 0.0) for state, c_a, c_b in cores]
         for _ in range(2):
             traffics = []
-            for (pa, pb, _xa, _xb), (ia, ib) in zip(core_states, results):
+            for (_state, c_a, c_b), (ia, ib) in zip(cores, results):
                 t = 0.0
-                if pa is not None:
-                    t += self._off_l1_rate(pa, ia)
-                if pb is not None:
-                    t += self._off_l1_rate(pb, ib)
+                if c_a is not None:
+                    t += ia * c_a.mem_frac * c_a.l1_miss
+                if c_b is not None:
+                    t += ib * c_b.mem_frac * c_b.l1_miss
                 traffics.append(t)
             total = sum(traffics)
             results = [
-                self.core_ipc(pa, pb, xa, xb, external_traffic=total - t)
-                for (pa, pb, xa, xb), t in zip(core_states, traffics)
+                lookup(state, c_a, c_b, total - t)
+                for (state, c_a, c_b), t in zip(cores, traffics)
             ]
         out = tuple(results)
         self._chip_cache.put(key, out)
