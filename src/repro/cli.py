@@ -26,11 +26,15 @@ Commands
     ``GET /v1/jobs/<id>``, ``GET /healthz``, ``GET /metrics``
     (see ``docs/service.md``).
 ``oracle record|check|fuzz``
-    The invariant/conformance oracle layer: record or replay golden
-    traces and the golden tournament leaderboard under ``tests/golden/``,
-    or fuzz randomized scenarios through every registered execution
-    engine (``--budget N --seed S``; failing scenarios are written as
-    JSON for CI artifacts).
+    The invariant/conformance oracle layer. ``record`` writes the golden
+    records under ``tests/golden/``: one ``*.golden.json`` per recording
+    (input, expected doc and its kind — four traces, one joint search,
+    one tournament leaderboard). ``check`` replays every record and
+    compares the expected doc leaf by leaf, replays trace records again
+    on the batch path, and prints one line per replay. ``fuzz`` pushes
+    randomized scenarios through every registered execution engine
+    (``--budget N --seed S``; failing scenarios are written as JSON for
+    CI artifacts).
 ``tournament run|show|policies [--policies a,b,c] [--corpus C] [-n N]
            [--seed S] [--engine E] [--scalar] [--out FILE]``
     The balancing-policy tournament (see ``docs/policies.md``): score
@@ -311,7 +315,7 @@ def _default_golden_dir() -> str:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     # Imported here: the oracle package pulls in the workload generators,
     # which `repro tables` etc. never need.
-    from repro.errors import GoldenMismatchError, OracleError
+    from repro.errors import OracleError
     from repro.oracle import checker, differential, golden
 
     directory = args.dir or _default_golden_dir()
@@ -331,46 +335,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         except OracleError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        try:
-            batch_checks = golden.check_all_batch(
-                directory, tolerance=args.tolerance, strict=False
-            )
-        except OracleError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
         bad = 0
-        for label, group in (("", checks), ("[batch] ", batch_checks)):
-            for c in group:
-                status = "ok" if c.ok else "MISMATCH"
-                print(f"{status:8s} {label}{os.path.basename(c.path)} "
-                      f"(replayed {c.replayed_time:.4f}s, "
-                      f"recorded {c.recorded_time:.4f}s)")
-                for m in c.mismatches:
-                    bad += 1
-                    print(f"         - {m}")
-        try:
-            board = golden.check_leaderboard(directory, strict=False)
-        except OracleError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        status = "ok" if board.ok else "MISMATCH"
-        print(f"{status:8s} {os.path.basename(board.path)} "
-              f"(replayed {board.replayed_fingerprint[:16]}..., "
-              f"recorded {board.recorded_fingerprint[:16]}...)")
-        if not board.ok:
-            bad += 1
-        try:
-            joint = golden.check_joint_search(directory, strict=False)
-        except OracleError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        status = "ok" if joint.ok else "MISMATCH"
-        print(f"{status:8s} {os.path.basename(joint.path)} "
-              f"(replayed {joint.replayed_digest[:16]}..., "
-              f"recorded {joint.recorded_digest[:16]}...)")
-        for m in joint.mismatches:
-            bad += 1
-            print(f"         - {m}")
+        for c in checks:
+            status = "ok" if c.ok else "MISMATCH"
+            label = "[batch] " if c.batch else ""
+            print(f"{status:8s} {label}{os.path.basename(c.path)} ({c.kind}, "
+                  f"replayed {c.replayed_digest[:16]}..., "
+                  f"recorded {c.recorded_digest[:16]}...)")
+            for m in c.mismatches:
+                bad += 1
+                print(f"         - {m}")
         cluster_eq = differential.check_cluster_equivalence(strict=False)
         status = "ok" if cluster_eq.ok else "MISMATCH"
         print(f"{status:8s} 1-node cluster law "
@@ -382,9 +356,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if bad:
             print(f"{bad} golden mismatch(es)", file=sys.stderr)
             return 1
-        print(f"{len(checks)} golden trace(s) match scalar and batch "
-              "replay; leaderboard and joint search reproduce; "
-              "decode law and the 1-node cluster law hold")
+        print(f"{len(checks)} golden replay(s) match, trace records on the "
+              "scalar and batch paths; decode law and the 1-node cluster "
+              "law hold")
         return 0
     # fuzz
     report = differential.fuzz(args.budget, seed=args.seed)
@@ -811,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("action", choices=("record", "check", "fuzz"))
     p_oracle.add_argument("--dir", default=None,
-                          help="golden-trace directory (default tests/golden)")
+                          help="golden-record directory (default tests/golden)")
     p_oracle.add_argument("--tolerance", type=float, default=0.0,
                           help="relative metric tolerance for check "
                           "(0 = bit-exact trace digests)")

@@ -46,7 +46,7 @@ from repro.util.tables import TextTable
 __all__ = ["allocation_axes_table"]
 
 #: The default experiment workload: the golden joint search's skewed
-#: 4-rank MetBench profile (tests/golden/joint-search.search.json).
+#: 4-rank MetBench profile (tests/golden/joint-search.golden.json).
 DEFAULT_WORKS = (8.0e8, 2.4e9, 1.2e9, 2.0e9)
 
 

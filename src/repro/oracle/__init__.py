@@ -9,10 +9,10 @@ Three pillars, one package:
 * :mod:`repro.oracle.differential` — the same
   :class:`~repro.scenarios.ScenarioSpec` pushed through every engine in
   the :mod:`repro.scenarios` registry and compared under declared
-  tolerances; includes the seeded fuzz driver. (``ScenarioGenerator``
-  is a re-export kept for compatibility.)
-* :mod:`repro.oracle.golden` — versioned golden-trace snapshots under
-  ``tests/golden/`` with ``record``/``check`` replay.
+  tolerances; includes the seeded fuzz driver.
+* :mod:`repro.oracle.golden` — versioned golden records under
+  ``tests/golden/`` (trace, joint-search and leaderboard kinds) with
+  ``record``/``check`` replay.
 """
 
 from repro.oracle.checker import (
@@ -27,7 +27,6 @@ from repro.oracle.checker import (
 from repro.oracle.differential import (
     ClusterEquivalenceCheck,
     ConformanceResult,
-    ScenarioGenerator,
     Tolerances,
     check_cluster_equivalence,
     check_conformance,
@@ -38,10 +37,9 @@ from repro.oracle.golden import (
     GOLDEN_FORMAT,
     GOLDEN_VERSION,
     GoldenCheck,
-    JointSearchCheck,
+    check,
     check_all,
-    check_joint_search,
-    default_scenarios,
+    record,
     record_all,
 )
 from repro.oracle.invariants import (
@@ -62,7 +60,6 @@ __all__ = [
     "verify_trace",
     "ClusterEquivalenceCheck",
     "ConformanceResult",
-    "ScenarioGenerator",
     "Tolerances",
     "check_cluster_equivalence",
     "check_conformance",
@@ -71,10 +68,9 @@ __all__ = [
     "GOLDEN_FORMAT",
     "GOLDEN_VERSION",
     "GoldenCheck",
-    "JointSearchCheck",
+    "check",
     "check_all",
-    "check_joint_search",
-    "default_scenarios",
+    "record",
     "record_all",
     "PAPER_TABLE_II",
     "PAPER_TABLE_III",

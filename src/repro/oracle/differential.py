@@ -32,7 +32,6 @@ from repro.smt.throughput import ThroughputTable
 from repro.util.validation import check_positive
 
 __all__ = [
-    "ScenarioGenerator",
     "Tolerances",
     "ConformanceResult",
     "ClusterEquivalenceCheck",

@@ -1,30 +1,41 @@
-"""Golden-trace snapshots: recorded physics future PRs are diffed against.
+"""Golden records: recorded physics future PRs are diffed against.
 
-A golden file under ``tests/golden/`` pins one
-:class:`~repro.scenarios.ScenarioSpec` to the
-exact physics the simulator produced when the file was recorded: the
-sha256 digest of the full-precision trace interval stream, the paper's
-two metrics, the per-rank state breakdown, and the scenario's own
-fingerprint (so a file can never be replayed against a silently edited
-scenario). ``repro oracle check`` re-runs every scenario and compares —
-bit-exactly on the digest by default (the simulator is deterministic:
-``tests/integration/test_determinism.py``), or within ``--tolerance`` on
-the scalar metrics for cross-platform runs.
+Every file under ``tests/golden/`` is one versioned record::
 
-The snapshot format is versioned; bump :data:`GOLDEN_VERSION` when an
-*intentional* physics change lands and re-record with ``repro oracle
+    {"format": "repro-golden", "version": 3, "kind": ..., "name": ...,
+     "input": ..., "input_fingerprint": fingerprint_doc(input),
+     "expected": ...}
+
+``kind`` picks the replay that maps ``input`` to ``expected``:
+
+* ``trace`` — a :class:`~repro.scenarios.ScenarioSpec` doc, run through
+  the fluid engine with live invariant checking. Expected: the sha256
+  trace digest, the paper's two metrics, events processed, final
+  priorities and the per-rank state fractions. The input fingerprint is
+  the scenario's own fingerprint.
+* ``joint-search`` — ``{scenario, levels, max_gap}``: the whole
+  symmetry-pruned (mapping × priority) search. Expected: the number of
+  candidates evaluated and the winner's mapping, priorities, time,
+  imbalance and trace digest.
+* ``leaderboard`` — a :class:`~repro.policies.TournamentConfig` doc.
+  Expected: the tournament :class:`~repro.policies.Leaderboard`'s
+  canonical doc and fingerprint, which golden-replays the whole policy
+  subsystem the way a trace digest golden-replays one scenario.
+
+``repro oracle check`` replays each record and compares ``expected``
+with the replayed doc leaf by leaf (:func:`check`). The input
+fingerprint is re-derived on load, so a hand-edited input is reported as
+tampering rather than silently replayed. With the default tolerance 0
+every leaf must be equal (the simulator is deterministic:
+``tests/integration/test_determinism.py``). A positive ``--tolerance``
+is for cross-platform runs and widens only trace records: their floats
+compare within the relative band and a digest difference is reported
+(:attr:`GoldenCheck.digest_equal`) without failing. Joint-search and
+leaderboard records always compare exactly.
+
+Bump :data:`GOLDEN_VERSION` when the record shape changes or an
+*intentional* physics change lands, and re-record with ``repro oracle
 record`` in the same PR, so the diff shows exactly which numbers moved.
-
-The same directory also pins one tournament
-:class:`~repro.policies.Leaderboard` (the smoke config over both policy
-families): :func:`check_leaderboard` re-runs it and compares canonical
-fingerprints, golden-replaying the whole policy subsystem the way a
-trace digest golden-replays one scenario. And it pins one joint
-(mapping × priority) :class:`~repro.core.SearchResult`
-(``joint-search.search.json`` — deliberately *not* ``*.golden.json``,
-which is reserved for single-trace snapshots): the recorded winner's
-mapping, priorities, time and trace digest, replayed by re-running the
-whole symmetry-pruned search (:func:`check_joint_search`).
 """
 
 from __future__ import annotations
@@ -36,51 +47,46 @@ import os
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.errors import GoldenMismatchError, OracleError, PersistenceError
+from repro.core import joint_search
+from repro.errors import GoldenMismatchError, OracleError
+from repro.machine.system import System, SystemConfig
 from repro.mpi.runtime import RunResult
-from repro.policies import Leaderboard, TournamentConfig, run_tournament
+from repro.policies import TournamentConfig, run_tournament
 from repro.scenarios import ScenarioSpec, get_engine, trace_digest
+from repro.util.fingerprint import fingerprint_doc
 
 __all__ = [
     "GOLDEN_FORMAT",
     "GOLDEN_VERSION",
     "GoldenCheck",
-    "JOINT_SEARCH_GOLDEN_BASENAME",
-    "JointSearchCheck",
-    "LEADERBOARD_GOLDEN_BASENAME",
-    "LeaderboardCheck",
-    "default_scenarios",
-    "joint_search_scenario",
-    "smoke_tournament_config",
-    "snapshot",
+    "default_records",
+    "golden_path",
+    "golden_paths",
+    "load",
     "record",
     "record_all",
-    "record_joint_search",
-    "record_leaderboard",
     "check",
     "check_all",
-    "check_all_batch",
-    "check_joint_search",
-    "check_leaderboard",
-    "golden_paths",
-    "joint_search_path",
-    "leaderboard_path",
 ]
 
-GOLDEN_FORMAT = "repro-golden-trace"
+GOLDEN_FORMAT = "repro-golden"
 #: v2: the analytic model's core memo keys carry *exact* external
 #: traffic (they used to round to 1e-4), making the model a pure
 #: function of its query. Converged values moved in the ~8th decimal
 #: for scenarios with nonzero cross-core traffic; re-recorded in the
 #: same PR that introduced the batch execution path, which relies on
 #: the history-independence the exact keys provide.
-GOLDEN_VERSION = 2
+#: v3: one record shape (input, expected, per-kind replay) for the
+#: trace, joint-search and leaderboard goldens; every recorded value
+#: carried over unchanged.
+GOLDEN_VERSION = 3
 
 
-def default_scenarios() -> List[ScenarioSpec]:
-    """The canonical recorded set: one per workload family, covering the
-    identity and paper mappings and a static priority assignment."""
-    return [
+def default_records() -> List[Tuple[str, str, dict]]:
+    """``(kind, name, input)`` for every committed golden record."""
+    # One trace per workload family, covering the identity and paper
+    # mappings and a static priority assignment.
+    traces = [
         ScenarioSpec(
             name="barrier-skewed",
             kind="barrier_loop",
@@ -118,31 +124,41 @@ def default_scenarios() -> List[ScenarioSpec]:
                       "params": {"nodes_per_switch": 1}},
         ),
     ]
+    # The joint search's workload is a skewed 4-rank MetBench run where
+    # both the pairing and the priorities matter: 3 levels × |gap| ≤ 2
+    # per core over the symmetry-pruned mapping axis (24 → 3 classes),
+    # 243 candidates.
+    joint = ScenarioSpec(
+        name="joint-smoke",
+        kind="metbench",
+        works=(8.0e8, 2.4e9, 1.2e9, 2.0e9),
+        iterations=2,
+    )
+    # The tournament is small enough for CI and wide enough to cover both
+    # policy families and both corpus cell kinds.
+    tournament = TournamentConfig(
+        policies=("st", "paper-c", "propshare", "hysteresis"),
+        corpus="mixed",
+        n_scenarios=6,
+        seed=2008,
+    )
+    return [("trace", s.name, s.to_doc()) for s in traces] + [
+        ("joint-search", "joint-search",
+         {"scenario": joint.to_doc(), "levels": [4, 5, 6], "max_gap": 2}),
+        ("leaderboard", "tournament-smoke", tournament.to_doc()),
+    ]
 
 
-def _replay(scenario: ScenarioSpec) -> RunResult:
-    """One recording/replay path: the fluid engine with live invariant
-    checking, labelled exactly as the oracle always labelled it (labels
-    do not enter the digest, but keep logs continuous)."""
-    return get_engine("fluid").run(
-        scenario,
-        label=f"oracle.{scenario.name}",
-        options={"check_invariants": True},
-    ).run
+# -- the per-kind replays: input doc -> expected doc ----------------------------
 
 
-def snapshot(scenario: ScenarioSpec, result: RunResult) -> dict:
-    """The JSON document pinning ``result``'s physics to ``scenario``."""
+def _trace_doc(run: RunResult) -> dict:
     return {
-        "format": GOLDEN_FORMAT,
-        "version": GOLDEN_VERSION,
-        "scenario": scenario.to_doc(),
-        "scenario_fingerprint": scenario.fingerprint,
-        "trace_digest": trace_digest(result),
-        "total_time": result.total_time,
-        "imbalance_percent": result.imbalance_percent,
-        "events_processed": result.events_processed,
-        "final_priorities": [int(p) for p in result.final_priorities],
+        "trace_digest": trace_digest(run),
+        "total_time": run.total_time,
+        "imbalance_percent": run.imbalance_percent,
+        "events_processed": run.events_processed,
+        "final_priorities": [int(p) for p in run.final_priorities],
         "ranks": [
             {
                 "rank": r.rank,
@@ -152,323 +168,35 @@ def snapshot(scenario: ScenarioSpec, result: RunResult) -> dict:
                 "noise": r.noise_fraction,
                 "idle": r.idle_fraction,
             }
-            for r in result.stats.ranks
+            for r in run.stats.ranks
         ],
     }
 
 
-def _golden_path(directory: str, scenario: ScenarioSpec) -> str:
-    return os.path.join(directory, f"{scenario.name}.golden.json")
-
-
-def record(scenario: ScenarioSpec, path: str) -> dict:
-    """Run ``scenario`` fresh (fluid engine, live invariant checking)
-    and write its snapshot to ``path``."""
-    result = _replay(scenario)
-    doc = snapshot(scenario, result)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return doc
-
-
-def record_all(directory: str) -> List[str]:
-    """Record every default scenario into ``directory`` plus the golden
-    tournament leaderboard; returns paths."""
-    paths = []
-    for scenario in default_scenarios():
-        path = _golden_path(directory, scenario)
-        record(scenario, path)
-        paths.append(path)
-    paths.append(record_leaderboard(directory))
-    paths.append(record_joint_search(directory))
-    return paths
-
-
-def golden_paths(directory: str) -> List[str]:
-    """All golden files under ``directory``, sorted."""
-    return sorted(glob.glob(os.path.join(directory, "*.golden.json")))
-
-
-@dataclass(frozen=True)
-class GoldenCheck:
-    """One golden file's replay outcome."""
-
-    path: str
-    scenario: ScenarioSpec
-    digest_equal: bool
-    recorded_time: float
-    replayed_time: float
-    mismatches: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def _load_doc(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise OracleError(f"no golden file at {path}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise OracleError(f"unreadable golden file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != GOLDEN_FORMAT:
-        raise OracleError(f"{path} is not a golden-trace file")
-    if doc.get("version") != GOLDEN_VERSION:
-        raise OracleError(
-            f"{path}: golden version {doc.get('version')!r} != "
-            f"{GOLDEN_VERSION}; re-record with `repro oracle record`"
-        )
-    return doc
-
-
-def _compare(
-    path: str,
-    doc: dict,
-    scenario: ScenarioSpec,
-    result: RunResult,
-    tolerance: float = 0.0,
-    strict: bool = True,
-) -> GoldenCheck:
-    """Compare one replayed run against its recorded snapshot."""
-    mismatches: List[str] = []
-
-    if scenario.fingerprint != doc.get("scenario_fingerprint"):
-        mismatches.append(
-            "scenario fingerprint drifted — the embedded scenario was "
-            "edited after recording; re-record instead of editing"
-        )
-
-    digest = trace_digest(result)
-    digest_equal = digest == doc.get("trace_digest")
-    if not digest_equal and tolerance <= 0.0:
-        mismatches.append(
-            f"trace digest {digest[:16]}... != recorded "
-            f"{str(doc.get('trace_digest'))[:16]}..."
-        )
-
-    def drifted(label: str, got: float, want: float) -> None:
-        tol = max(tolerance, 0.0)
-        if not math.isclose(got, want, rel_tol=max(tol, 1e-12), abs_tol=tol):
-            mismatches.append(f"{label}: replayed {got!r} vs recorded {want!r}")
-
-    drifted("total_time", result.total_time, float(doc["total_time"]))
-    drifted(
-        "imbalance_percent",
-        result.imbalance_percent,
-        float(doc["imbalance_percent"]),
-    )
-    recorded_ranks = {int(r["rank"]): r for r in doc.get("ranks", ())}
-    for r in result.stats.ranks:
-        want = recorded_ranks.get(r.rank)
-        if want is None:
-            mismatches.append(f"rank {r.rank} missing from the recording")
-            continue
-        drifted(f"rank {r.rank} compute", r.compute_fraction, float(want["compute"]))
-        drifted(f"rank {r.rank} sync", r.sync_fraction, float(want["sync"]))
-    if tuple(int(p) for p in result.final_priorities) != tuple(
-        int(p) for p in doc.get("final_priorities", ())
-    ):
-        mismatches.append(
-            f"final priorities {result.final_priorities} != recorded "
-            f"{tuple(doc.get('final_priorities', ()))}"
-        )
-
-    outcome = GoldenCheck(
-        path=path,
-        scenario=scenario,
-        digest_equal=digest_equal,
-        recorded_time=float(doc["total_time"]),
-        replayed_time=result.total_time,
-        mismatches=tuple(mismatches),
-    )
-    if strict and not outcome.ok:
-        raise GoldenMismatchError(
-            f"{path}: " + "; ".join(outcome.mismatches)
-        )
-    return outcome
-
-
-def check(path: str, tolerance: float = 0.0, strict: bool = True) -> GoldenCheck:
-    """Replay the golden file's scenario and compare against the record.
-
-    ``tolerance`` is a relative band on the scalar metrics; with the
-    default 0.0 the trace digest must match bit-exactly (same-platform
-    CI). With a positive tolerance the digest difference is reported but
-    only tolerance-exceeding metric drift is a mismatch. ``strict=True``
-    raises :class:`~repro.errors.GoldenMismatchError` on any mismatch.
-    """
-    doc = _load_doc(path)
-    scenario = ScenarioSpec.from_doc(doc["scenario"])
-    result = _replay(scenario)
-    return _compare(
-        path, doc, scenario, result, tolerance=tolerance, strict=strict
-    )
-
-
-def check_all(
-    directory: str, tolerance: float = 0.0, strict: bool = True
-) -> List[GoldenCheck]:
-    """Replay every golden file under ``directory``."""
-    paths = golden_paths(directory)
-    if not paths:
-        raise OracleError(f"no *.golden.json files under {directory}")
-    return [check(p, tolerance=tolerance, strict=strict) for p in paths]
-
-
-def check_all_batch(
-    directory: str, tolerance: float = 0.0, strict: bool = True
-) -> List[GoldenCheck]:
-    """Replay every golden file through the fluid engine's *batch* path.
-
-    All recorded scenarios go through one ``run_batch`` call (per-spec
-    event loops on one engine's shared warm ``System``) and each result
-    is compared against its recording exactly like :func:`check` — the
-    batch-path twin of the scalar replay, guarding against a digest
-    that depends on what ran earlier in the batch.
-    """
-    paths = golden_paths(directory)
-    if not paths:
-        raise OracleError(f"no *.golden.json files under {directory}")
-    docs = [_load_doc(p) for p in paths]
-    scenarios = [ScenarioSpec.from_doc(d["scenario"]) for d in docs]
-    results = get_engine("fluid").run_batch(
-        scenarios,
-        labels=[f"oracle.{s.name}" for s in scenarios],
+def _replay_trace(doc: dict) -> dict:
+    """The fluid engine with live invariant checking, labelled exactly
+    as the oracle always labelled it (labels do not enter the digest,
+    but keep logs continuous)."""
+    scenario = ScenarioSpec.from_doc(doc)
+    return _trace_doc(get_engine("fluid").run(
+        scenario,
+        label=f"oracle.{scenario.name}",
         options={"check_invariants": True},
-    )
-    return [
-        _compare(
-            path, doc, scenario, result.run,
-            tolerance=tolerance, strict=strict,
-        )
-        for path, doc, scenario, result in zip(
-            paths, docs, scenarios, results
-        )
-    ]
+    ).run)
 
 
-# -- the golden tournament leaderboard -----------------------------------------
-
-#: The one leaderboard artifact ``record_all`` pins next to the traces.
-LEADERBOARD_GOLDEN_BASENAME = "tournament-smoke.leaderboard.json"
-
-
-def smoke_tournament_config() -> TournamentConfig:
-    """The recorded tournament: small enough for CI, wide enough to
-    cover both policy families and both corpus cell kinds."""
-    return TournamentConfig(
-        policies=("st", "paper-c", "propshare", "hysteresis"),
-        corpus="mixed",
-        n_scenarios=6,
-        seed=2008,
-    )
-
-
-def leaderboard_path(directory: str) -> str:
-    return os.path.join(directory, LEADERBOARD_GOLDEN_BASENAME)
-
-
-def record_leaderboard(directory: str) -> str:
-    """Run the smoke tournament fresh and write its artifact."""
-    board = run_tournament(smoke_tournament_config())
-    return board.save(leaderboard_path(directory))
-
-
-@dataclass(frozen=True)
-class LeaderboardCheck:
-    """The golden leaderboard's replay outcome."""
-
-    path: str
-    recorded_fingerprint: str
-    replayed_fingerprint: str
-
-    @property
-    def ok(self) -> bool:
-        return self.recorded_fingerprint == self.replayed_fingerprint
-
-
-def check_leaderboard(directory: str, strict: bool = True) -> LeaderboardCheck:
-    """Re-run the recorded leaderboard's config and compare fingerprints.
-
-    The whole comparison is one fingerprint equality: the canonical
-    leaderboard document covers the corpus (scenario fingerprints), the
-    per-cell total times and every aggregate, so any drift in corpus
-    drawing, policy planning or engine physics shows up here. The
-    artifact's own embedded fingerprint is verified on load, so a
-    hand-edited recording fails before it is ever replayed.
-    """
-    path = leaderboard_path(directory)
-    try:
-        recorded = Leaderboard.load(path)
-    except PersistenceError as exc:
-        raise OracleError(str(exc)) from exc
-    replayed = run_tournament(recorded.config)
-    outcome = LeaderboardCheck(
-        path=path,
-        recorded_fingerprint=recorded.fingerprint,
-        replayed_fingerprint=replayed.fingerprint,
-    )
-    if strict and not outcome.ok:
-        raise GoldenMismatchError(
-            f"{path}: leaderboard fingerprint "
-            f"{outcome.replayed_fingerprint[:16]}... != recorded "
-            f"{outcome.recorded_fingerprint[:16]}...; the tournament is "
-            "no longer reproducing the recorded outcome — re-record with "
-            "`repro oracle record` if the change is intentional"
-        )
-    return outcome
-
-
-# -- the golden joint search ----------------------------------------------------
-
-#: The pinned joint-search result. The suffix is deliberately NOT
-#: ``.golden.json``: that glob is the single-trace snapshot contract
-#: (``golden_paths``), and a search recording has a different shape.
-JOINT_SEARCH_GOLDEN_BASENAME = "joint-search.search.json"
-
-JOINT_SEARCH_FORMAT = "repro-golden-joint-search"
-JOINT_SEARCH_VERSION = 1
-
-#: The recorded search's knobs: 3 levels × |gap| ≤ 2 per core and the
-#: symmetry-pruned 4-rank mapping axis (24 → 3 classes), 243 candidates.
-_JOINT_LEVELS = (4, 5, 6)
-_JOINT_MAX_GAP = 2
-
-
-def joint_search_scenario() -> ScenarioSpec:
-    """The workload the golden joint search optimises: a skewed 4-rank
-    MetBench run where both the pairing and the priorities matter."""
-    return ScenarioSpec(
-        name="joint-smoke",
-        kind="metbench",
-        works=(8.0e8, 2.4e9, 1.2e9, 2.0e9),
-        iterations=2,
-    )
-
-
-def joint_search_path(directory: str) -> str:
-    return os.path.join(directory, JOINT_SEARCH_GOLDEN_BASENAME)
-
-
-def _run_joint_search(scenario: ScenarioSpec):
-    """One recording/replay path: a fresh System, the symmetry-pruned
-    joint search, and the winner re-run once for its trace digest."""
-    from repro.core import joint_search
-    from repro.machine.system import System, SystemConfig
-
+def _replay_joint_search(doc: dict) -> dict:
+    """A fresh System, the symmetry-pruned joint search, and the winner
+    re-run once for its trace digest: enumeration order, pruning,
+    ranking tie-breaks and physics all have to reproduce."""
+    scenario = ScenarioSpec.from_doc(doc["scenario"])
     system = System(SystemConfig(seed=scenario.seed))
     result = joint_search(
         system,
         scenario.programs,
         n_ranks=scenario.n_ranks,
-        levels=_JOINT_LEVELS,
-        max_gap=_JOINT_MAX_GAP,
+        levels=tuple(doc["levels"]),
+        max_gap=doc["max_gap"],
         keep_top=1,
     )
     best = result.best
@@ -478,30 +206,69 @@ def _run_joint_search(scenario: ScenarioSpec):
         priorities=best.priority_dict,
         label=f"oracle.joint.{scenario.name}",
     )
-    return result, trace_digest(run)
-
-
-def record_joint_search(directory: str) -> str:
-    """Run the golden joint search fresh and write its recording."""
-    scenario = joint_search_scenario()
-    result, digest = _run_joint_search(scenario)
-    best = result.best
-    doc = {
-        "format": JOINT_SEARCH_FORMAT,
-        "version": JOINT_SEARCH_VERSION,
-        "scenario": scenario.to_doc(),
-        "scenario_fingerprint": scenario.fingerprint,
-        "levels": list(_JOINT_LEVELS),
-        "max_gap": _JOINT_MAX_GAP,
+    return {
         "evaluations": result.evaluated,
         "best_mapping": {str(r): c for r, c in best.mapping.rank_to_cpu},
         "best_priorities": {str(r): p for r, p in best.priorities},
         "best_time": result.best_time,
         "best_imbalance_percent": result.entries[0][2],
-        "best_trace_digest": digest,
+        "best_trace_digest": trace_digest(run),
     }
-    path = joint_search_path(directory)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+
+
+def _replay_leaderboard(doc: dict) -> dict:
+    """The canonical leaderboard doc covers the corpus (scenario
+    fingerprints), every per-cell total time and every aggregate, so
+    drift in corpus drawing, policy planning or physics shows here."""
+    board = run_tournament(TournamentConfig.from_doc(doc))
+    return {"leaderboard": board.to_doc(), "fingerprint": board.fingerprint}
+
+
+#: kind -> (replay, the expected leaf that identifies the replay).
+_KINDS = {
+    "trace": (_replay_trace, "trace_digest"),
+    "joint-search": (_replay_joint_search, "best_trace_digest"),
+    "leaderboard": (_replay_leaderboard, "fingerprint"),
+}
+
+
+def _as_json(doc: dict) -> dict:
+    """``doc`` as it reads back from disk, so a fresh replay compares
+    equal to its own recording."""
+    return json.loads(json.dumps(doc))
+
+
+def _replay(kind: str, input_doc: dict) -> dict:
+    return _as_json(_KINDS[kind][0](input_doc))
+
+
+# -- record / load / check -------------------------------------------------------
+
+
+def golden_path(directory: str, name: str) -> str:
+    return os.path.join(directory, f"{name}.golden.json")
+
+
+def golden_paths(directory: str) -> List[str]:
+    """All golden records under ``directory``, sorted."""
+    return sorted(glob.glob(os.path.join(directory, "*.golden.json")))
+
+
+def record(directory: str, kind: str, name: str, input_doc: dict) -> str:
+    """Replay ``input_doc`` fresh and write its record to
+    ``<directory>/<name>.golden.json``; returns the path."""
+    input_doc = _as_json(input_doc)
+    doc = {
+        "format": GOLDEN_FORMAT,
+        "version": GOLDEN_VERSION,
+        "kind": kind,
+        "name": name,
+        "input": input_doc,
+        "input_fingerprint": fingerprint_doc(input_doc),
+        "expected": _replay(kind, input_doc),
+    }
+    path = golden_path(directory, name)
+    os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -510,88 +277,158 @@ def record_joint_search(directory: str) -> str:
     return path
 
 
+def record_all(directory: str) -> List[str]:
+    """Record every default golden into ``directory``; returns paths."""
+    return [record(directory, *r) for r in default_records()]
+
+
+def load(path: str) -> dict:
+    """Read one golden record, gated on its format, version and kind."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise OracleError(f"no golden file at {path}") from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise OracleError(f"unreadable golden file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != GOLDEN_FORMAT:
+        raise OracleError(f"{path} is not a golden record")
+    if doc.get("version") != GOLDEN_VERSION:
+        raise OracleError(
+            f"{path}: golden version {doc.get('version')!r} != "
+            f"{GOLDEN_VERSION}; re-record with `repro oracle record`"
+        )
+    if doc.get("kind") not in _KINDS:
+        raise OracleError(f"{path}: unknown golden kind {doc.get('kind')!r}")
+    missing = [k for k in ("name", "input", "input_fingerprint") if k not in doc]
+    if missing or not isinstance(doc.get("expected"), dict):
+        raise OracleError(
+            f"{path}: malformed golden record ({missing or 'expected'})"
+        )
+    return doc
+
+
 @dataclass(frozen=True)
-class JointSearchCheck:
-    """The golden joint search's replay outcome."""
+class GoldenCheck:
+    """One golden record's replay outcome."""
 
     path: str
-    recorded_digest: str
-    replayed_digest: str
+    record: dict
+    replayed: dict
     mismatches: Tuple[str, ...] = ()
+    #: True for the batch-path replay of a trace record.
+    batch: bool = False
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
 
+    @property
+    def kind(self) -> str:
+        return self.record["kind"]
 
-def check_joint_search(directory: str, strict: bool = True) -> JointSearchCheck:
-    """Re-run the recorded joint search and compare the winner.
+    @property
+    def recorded_digest(self) -> str:
+        return str(self.record["expected"].get(_KINDS[self.kind][1]))
 
-    The whole pruned (mapping × priority) sweep re-runs — enumeration
-    order, symmetry pruning, ranking tie-breaks and the simulator's
-    physics all have to reproduce for the winner's mapping, priorities,
-    time and trace digest to come out identical.
-    """
-    path = joint_search_path(directory)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise OracleError(f"no joint-search recording at {path}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise OracleError(f"unreadable joint-search file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != JOINT_SEARCH_FORMAT:
-        raise OracleError(f"{path} is not a joint-search recording")
-    if doc.get("version") != JOINT_SEARCH_VERSION:
-        raise OracleError(
-            f"{path}: joint-search version {doc.get('version')!r} != "
-            f"{JOINT_SEARCH_VERSION}; re-record with `repro oracle record`"
-        )
+    @property
+    def replayed_digest(self) -> str:
+        return str(self.replayed.get(_KINDS[self.kind][1]))
 
-    scenario = ScenarioSpec.from_doc(doc["scenario"])
+    @property
+    def digest_equal(self) -> bool:
+        return self.recorded_digest == self.replayed_digest
+
+
+def _diff(
+    where: str, want: object, got: object, tol: float, out: List[str]
+) -> None:
+    """Append one line to ``out`` per leaf where ``got`` departs from
+    ``want``; with ``tol > 0`` floats compare within a relative band."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(want.keys() | got.keys()):
+            if key not in got:
+                out.append(f"{where}.{key}: recorded but not replayed")
+            elif key not in want:
+                out.append(f"{where}.{key}: replayed but not recorded")
+            else:
+                _diff(f"{where}.{key}", want[key], got[key], tol, out)
+    elif (isinstance(want, list) and isinstance(got, list)
+          and len(want) == len(got)):
+        for i, (w, g) in enumerate(zip(want, got)):
+            _diff(f"{where}[{i}]", w, g, tol, out)
+    elif tol > 0 and isinstance(want, float) and isinstance(got, float):
+        if not math.isclose(got, want, rel_tol=tol, abs_tol=tol):
+            out.append(f"{where}: replayed {got!r} vs recorded {want!r}")
+    elif want != got:
+        out.append(f"{where}: replayed {got!r} vs recorded {want!r}")
+
+
+def _compare(
+    path: str,
+    doc: dict,
+    replayed: dict,
+    tolerance: float,
+    strict: bool,
+    batch: bool = False,
+) -> GoldenCheck:
     mismatches: List[str] = []
-    if scenario.fingerprint != doc.get("scenario_fingerprint"):
+    if fingerprint_doc(doc["input"]) != doc["input_fingerprint"]:
         mismatches.append(
-            "scenario fingerprint drifted — the embedded scenario was "
-            "edited after recording; re-record instead of editing"
+            "input fingerprint drifted — the input was edited after "
+            "recording; re-record instead of editing"
         )
-    result, digest = _run_joint_search(scenario)
-    best = result.best
-    if tuple(doc["levels"]) != _JOINT_LEVELS or doc["max_gap"] != _JOINT_MAX_GAP:
-        mismatches.append(
-            f"recorded knobs levels={doc['levels']} max_gap={doc['max_gap']} "
-            f"!= this build's ({list(_JOINT_LEVELS)}, {_JOINT_MAX_GAP})"
-        )
-    if result.evaluated != int(doc["evaluations"]):
-        mismatches.append(
-            f"evaluations {result.evaluated} != recorded {doc['evaluations']} "
-            "— the candidate space (or its pruning) changed"
-        )
-    mapping = {str(r): c for r, c in best.mapping.rank_to_cpu}
-    if mapping != doc["best_mapping"]:
-        mismatches.append(
-            f"best mapping {mapping} != recorded {doc['best_mapping']}"
-        )
-    priorities = {str(r): p for r, p in best.priorities}
-    if priorities != doc["best_priorities"]:
-        mismatches.append(
-            f"best priorities {priorities} != recorded {doc['best_priorities']}"
-        )
-    if result.best_time != float(doc["best_time"]):
-        mismatches.append(
-            f"best time {result.best_time!r} != recorded {doc['best_time']!r}"
-        )
-    if digest != doc["best_trace_digest"]:
-        mismatches.append(
-            f"winner's trace digest {digest[:16]}... != recorded "
-            f"{str(doc['best_trace_digest'])[:16]}..."
-        )
-    outcome = JointSearchCheck(
-        path=path,
-        recorded_digest=str(doc["best_trace_digest"]),
-        replayed_digest=digest,
-        mismatches=tuple(mismatches),
-    )
+    want, got = doc["expected"], replayed
+    if doc["kind"] == "trace" and tolerance > 0:
+        # Cross-platform replay: the digest is reported, not failed.
+        want = {k: v for k, v in want.items() if k != "trace_digest"}
+        got = {k: v for k, v in got.items() if k != "trace_digest"}
+    else:
+        tolerance = 0.0
+    _diff("expected", want, got, tolerance, mismatches)
+    outcome = GoldenCheck(path, doc, replayed, tuple(mismatches), batch)
     if strict and not outcome.ok:
         raise GoldenMismatchError(f"{path}: " + "; ".join(outcome.mismatches))
     return outcome
+
+
+def check(path: str, tolerance: float = 0.0, strict: bool = True) -> GoldenCheck:
+    """Replay one golden record and compare against what it expects.
+
+    ``tolerance`` is a relative band on a trace record's floats (see the
+    module docstring); ``strict=True`` raises
+    :class:`~repro.errors.GoldenMismatchError` on any mismatch.
+    """
+    doc = load(path)
+    return _compare(
+        path, doc, _replay(doc["kind"], doc["input"]), tolerance, strict
+    )
+
+
+def check_all(
+    directory: str, tolerance: float = 0.0, strict: bool = True
+) -> List[GoldenCheck]:
+    """Replay every golden record under ``directory``, then every trace
+    record again through one ``run_batch`` call.
+
+    The batch pass (per-spec event loops on one engine's shared warm
+    ``System``) is the law that the batch path is history-independent:
+    a digest must not depend on what ran earlier in the batch. Its
+    outcomes come last, with ``batch=True``.
+    """
+    paths = golden_paths(directory)
+    if not paths:
+        raise OracleError(f"no *.golden.json files under {directory}")
+    checks = [check(p, tolerance=tolerance, strict=strict) for p in paths]
+    traces = [c for c in checks if c.kind == "trace"]
+    scenarios = [ScenarioSpec.from_doc(c.record["input"]) for c in traces]
+    results = get_engine("fluid").run_batch(
+        scenarios,
+        labels=[f"oracle.{s.name}" for s in scenarios],
+        options={"check_invariants": True},
+    )
+    return checks + [
+        _compare(c.path, c.record, _as_json(_trace_doc(r.run)), tolerance,
+                 strict, batch=True)
+        for c, r in zip(traces, results)
+    ]

@@ -23,8 +23,8 @@ baseline (the same corpus with no priority writes), and the trap score
 cells static planners are structurally blind to). Its canonical doc is
 byte-stable and excludes wall-clock, so the sha256
 :attr:`Leaderboard.fingerprint` is reproducible run-to-run and
-golden-replayable like a trace digest (see
-:func:`repro.oracle.golden.check_leaderboard`).
+golden-replayable like a trace digest (the ``leaderboard`` kind of
+:mod:`repro.oracle.golden`).
 """
 
 from __future__ import annotations

@@ -4,14 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError, ValidationError
 from repro.oracle.differential import (
-    ScenarioGenerator,
     Tolerances,
     check_conformance,
     fast_cycle_table,
     fuzz,
     trace_digest,
 )
-from repro.scenarios import ScenarioSpec, get_engine
+from repro.scenarios import ScenarioGenerator, ScenarioSpec, get_engine
 
 
 class TestScenario:
