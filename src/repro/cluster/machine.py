@@ -173,6 +173,10 @@ class ClusterMachine:
         chip, local = self._chip_cpu(cpu)
         chip.set_priority(local, priority)
 
+    def store_priority(self, cpu: int, priority: int) -> None:
+        chip, local = self._chip_cpu(cpu)
+        chip.store_priority(local, priority)
+
     def load(self, cpu: int) -> Optional[LoadProfile]:
         chip, local = self._chip_cpu(cpu)
         return chip.load(local)

@@ -131,6 +131,7 @@ class DynamicBalancer:
         window = now - self._last_time
         fractions: Dict[int, float] = {}
         for tl in runtime.trace:
+            # O(1) per rank: one state reads the timeline's running total.
             total = tl.time_in_until(now, RankState.SYNC)
             prev = self._last_sync.get(tl.rank, 0.0)
             fractions[tl.rank] = (total - prev) / window if window > 0 else 0.0

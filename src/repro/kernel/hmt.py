@@ -14,12 +14,12 @@ and the ``mtspr`` write to the Thread Status Register.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import PrivilegeError
 from repro.smt.chip import Power5Chip
 from repro.smt.priorities import (
+    PRIORITY_TABLE,
     HardwarePriority,
     PrivilegeLevel,
     can_set_priority,
@@ -37,6 +37,9 @@ class Actor(enum.Enum):
     OS = "os"
     HYPERVISOR = "hypervisor"
 
+    #: Singletons: hash by identity, not by Enum's hash of the name.
+    __hash__ = object.__hash__
+
     @property
     def privilege(self) -> PrivilegeLevel:
         return {
@@ -46,17 +49,16 @@ class Actor(enum.Enum):
         }[self]
 
 
-#: The levels each actor may set (paper Table I), tabulated once so the
-#: write gate is a set lookup.
+#: The levels each actor may set (paper Table I) as plain ints,
+#: tabulated once so the write gate is a set lookup.
 _ALLOWED = {
-    actor: frozenset(p for p in HardwarePriority if can_set_priority(actor.privilege, p))
+    actor: frozenset(p for p in PRIORITY_TABLE if can_set_priority(actor.privilege, p))
     for actor in Actor
 }
 
 
-@dataclass(frozen=True)
-class PriorityWrite:
-    """Audit record of one successful priority write."""
+class PriorityWrite(NamedTuple):
+    """Audit record of one successful priority write (immutable)."""
 
     time: float
     cpu: int
@@ -90,13 +92,15 @@ class HmtController:
             plain nop in that case — callers who want silent-nop
             semantics use :meth:`try_set_priority`).
         """
-        prio = validate_priority(priority)
         allowed = _ALLOWED[actor]
-        if prio not in allowed:
-            span = f"{int(min(allowed))}-{int(max(allowed))}"
-            raise PrivilegeError(actor.value, int(prio), span)
-        self.chip.set_priority(cpu, int(prio))
-        self.history.append(PriorityWrite(time, cpu, int(prio), actor, via))
+        if type(priority) is not int or priority not in allowed:
+            # Not a plain allowed int: full validation, then the same set.
+            priority = int(validate_priority(priority))
+            if priority not in allowed:
+                span = f"{min(allowed)}-{max(allowed)}"
+                raise PrivilegeError(actor.value, priority, span)
+        self.chip.store_priority(cpu, priority)
+        self.history.append(PriorityWrite(time, cpu, priority, actor, via))
 
     def try_set_priority(
         self,

@@ -167,7 +167,8 @@ class MessageEngine:
         self.messages_matched += 1
         costs = self.costs_for(send.src, send.dst)
         start = max(send.time, recv.time)
-        done = start + costs.transfer_time(send.nbytes)
+        # ``transfer_time`` without its check: post_send checked nbytes.
+        done = start + (costs.latency + send.nbytes / costs.bandwidth)
         status = Status(source=send.src, tag=send.tag, nbytes=send.nbytes, time=done)
         out: List[Tuple[float, Request, Optional[Status]]] = [(done, recv.request, status)]
         if not send.sender_released:

@@ -305,9 +305,8 @@ class MpiRuntime:
         self._dirty_groups: Set[int] = set(range(len(self._core_groups)))
         self._incremental = bool(self.config.incremental_rates)
         self._ipc_by_core: Dict[int, Tuple[float, float]] = {}
-        #: Per-run memo of group state -> chip_ipc result.  The model's own
-        #: chip cache persists across runs; this dict just skips the
-        #: name-key construction inside ``chip_ipc`` for repeat states.
+        #: Per-run memo of a group's name key -> chip_ipc result. The
+        #: model's chip cache takes the same key and persists across runs.
         self._group_ipc_memo: Dict[tuple, tuple] = {}
         #: How often each group's IPC was re-solved (observability: the
         #: multi-chip tests assert a chip-0 event leaves chip 1 alone).
@@ -375,7 +374,7 @@ class MpiRuntime:
         self._dirty_groups.update(range(len(self._core_groups)))
 
     def _mark_dirty_cpu(self, cpu: int) -> None:
-        if self.config.incremental_rates:
+        if self._incremental:
             self._dirty_groups.add(self._group_of_core[cpu // 2])
         else:
             self._mark_all_dirty()
@@ -406,20 +405,20 @@ class MpiRuntime:
         memo = self._group_ipc_memo
         for gi in sorted(dirty) if len(dirty) > 1 else tuple(dirty):
             group = self._core_groups[gi]
-            # Profiles are interned in ``self.profiles`` for the runtime's
-            # lifetime, so identity is a sound (and cheap) memo key; the
-            # full state tuple is only materialised on a memo miss.
-            key_parts = [gi]
+            # One key per re-solve, per core ``(name_a, name_b, prio_a,
+            # prio_b)``: it keys this run's memo and the model's chip memo.
+            states = []
+            names = []
             for i in group:
-                core = cores[i]
-                loads = core._loads
-                prios = core._priorities
-                key_parts.append((id(loads[0]), id(loads[1]), prios[0], prios[1]))
-            key = tuple(key_parts)
+                load_a, load_b = cores[i]._loads
+                prio_a, prio_b = cores[i]._priorities
+                states.append((load_a, load_b, prio_a, prio_b))
+                names.append((load_a.name if load_a else None,
+                              load_b.name if load_b else None, prio_a, prio_b))
+            key = tuple(names)
             ipcs = memo.get(key)
             if ipcs is None:
-                ipcs = self.model.chip_ipc(tuple(cores[i].state() for i in group))
-                memo[key] = ipcs
+                ipcs = memo[key] = self.model.chip_ipc(tuple(states), key)
             for i, pair in zip(group, ipcs):
                 ipc_by_core[i] = pair
             self.group_recompute_counts[gi] += 1
@@ -761,7 +760,10 @@ class MpiRuntime:
                 raise SimulationError(
                     f"exceeded max_events={max_events} at t={self.now}"
                 )
-            if self._dirty_groups:
+            # Only computing ranks read their rates, so dirty groups wait
+            # for a step in which some rank computes.
+            computing = [p for p in procs if p.state is computing_state]
+            if computing and self._dirty_groups:
                 self._recompute_rates()
                 if oracle is not None:
                     oracle.on_rates()
@@ -773,7 +775,6 @@ class MpiRuntime:
                 kernel_ev = self._peek_kernel()
                 if kernel_ev is not None:
                     t_next = min(t_next, kernel_ev.time)
-            computing = [p for p in procs if p.state is computing_state]
             for proc in computing:
                 rate = proc.rate
                 if rate > 0.0:

@@ -425,6 +425,7 @@ class AnalyticThroughputModel:
         core_states: Tuple[
             Tuple[Optional[LoadProfile], Optional[LoadProfile], int, int], ...
         ],
+        key: Optional[tuple] = None,
     ) -> Tuple[Tuple[float, float], ...]:
         """Coupled solve for all cores of a chip.
 
@@ -437,9 +438,11 @@ class AnalyticThroughputModel:
         per-core ``(load_a, load_b, prio_a, prio_b)`` states: MPI phase
         structure revisits the same machine states constantly, so the
         runtime's rate recomputation usually resolves to one lookup. On a
-        miss, each core's entry of that key is its core-memo state.
+        miss, each core's entry of that key is its core-memo state. A
+        caller holding that key (the MPI runtime) passes it as ``key``.
         """
-        key = _chip_key(core_states)
+        if key is None:
+            key = _chip_key(core_states)
         hit = self._chip_cache.get(key)
         if hit is not None:
             return hit

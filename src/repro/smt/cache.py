@@ -146,8 +146,3 @@ class CacheHierarchy:
         """Clear congestion state (between measurement windows)."""
         self._traffic = 0.0
         self._last_cycle = 0
-
-
-def default_hierarchy() -> CacheHierarchy:
-    """A fresh POWER5-like hierarchy instance."""
-    return CacheHierarchy()

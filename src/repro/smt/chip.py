@@ -102,10 +102,6 @@ class Power5Chip:
             raise ConfigurationError(f"invalid context {ctx} for this chip")
         return ctx.core * 2 + ctx.thread
 
-    def core_of_cpu(self, cpu: int) -> SmtCore:
-        """The :class:`SmtCore` hosting logical CPU ``cpu``."""
-        return self.cores[self.context_of_cpu(cpu).core]
-
     @property
     def cpus(self) -> List[int]:
         return list(range(self.config.n_cpus))
@@ -119,6 +115,11 @@ class Power5Chip:
     def set_priority(self, cpu: int, priority: int) -> None:
         self._check_cpu(cpu)
         self.cores[cpu // 2].set_priority(cpu % 2, priority)
+
+    def store_priority(self, cpu: int, priority: int) -> None:
+        """Store a plain-int level the HMT gate already validated."""
+        self._check_cpu(cpu)
+        self.cores[cpu // 2]._priorities[cpu % 2] = priority
 
     def load(self, cpu: int) -> Optional[LoadProfile]:
         ctx = self.context_of_cpu(cpu)

@@ -60,7 +60,8 @@ class SmtCore:
         if core_id < 0:
             raise ConfigurationError(f"core_id must be >= 0, got {core_id}")
         self.core_id = core_id
-        self._priorities: List[HardwarePriority] = [DEFAULT_PRIORITY, DEFAULT_PRIORITY]
+        #: Plain int levels; the accessors hand out HardwarePriority members.
+        self._priorities: List[int] = [int(DEFAULT_PRIORITY)] * 2
         self._loads: List[Optional[LoadProfile]] = [None, None]
 
     def _check_context(self, context: int) -> int:
@@ -74,16 +75,16 @@ class SmtCore:
 
     def priority(self, context: int) -> HardwarePriority:
         """Current hardware priority of ``context``."""
-        return self._priorities[self._check_context(context)]
+        return HardwarePriority(self._priorities[self._check_context(context)])
 
     @property
     def priorities(self) -> Tuple[HardwarePriority, HardwarePriority]:
-        return (self._priorities[0], self._priorities[1])
+        return tuple(map(HardwarePriority, self._priorities))
 
     def set_priority(self, context: int, priority: int) -> None:
         """Set ``context``'s hardware priority (no privilege check here;
         privilege is enforced by :mod:`repro.kernel.hmt`)."""
-        self._priorities[self._check_context(context)] = validate_priority(priority)
+        self._priorities[self._check_context(context)] = int(validate_priority(priority))
 
     # -- loads ----------------------------------------------------------------
 
@@ -103,7 +104,7 @@ class SmtCore:
     @property
     def mode(self) -> ArbitrationMode:
         """Current decode arbitration regime."""
-        return decode_allocation(int(self._priorities[0]), int(self._priorities[1])).mode
+        return decode_allocation(self._priorities[0], self._priorities[1]).mode
 
     @property
     def single_thread_mode(self) -> bool:
@@ -113,18 +114,10 @@ class SmtCore:
             ArbitrationMode.SINGLE_THREAD_SLOW,
         )
 
-    def state(self) -> Tuple[Optional[LoadProfile], Optional[LoadProfile], int, int]:
-        """``(load_a, load_b, prio_a, prio_b)`` — the throughput-model
-        query for this core, built without per-field accessor overhead
-        (the MPI runtime's rate recomputation calls this per event)."""
-        loads = self._loads
-        prios = self._priorities
-        return (loads[0], loads[1], int(prios[0]), int(prios[1]))
-
     def snapshot(self) -> CoreSnapshot:
         """Hashable view for throughput memoisation."""
         return CoreSnapshot(
-            priorities=(int(self._priorities[0]), int(self._priorities[1])),
+            priorities=(self._priorities[0], self._priorities[1]),
             load_names=tuple(
                 load.name if load is not None else None for load in self._loads
             ),
@@ -132,6 +125,6 @@ class SmtCore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SmtCore(id={self.core_id}, prios={tuple(int(p) for p in self._priorities)}, "
+            f"SmtCore(id={self.core_id}, prios={tuple(self._priorities)}, "
             f"loads={[getattr(l, 'name', None) for l in self._loads]})"
         )

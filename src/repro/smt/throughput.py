@@ -8,8 +8,8 @@ ground truth the analytic model is validated against, and can be plugged
 into the MPI runtime for higher-fidelity (slower) experiments.
 
 Both models satisfy the informal ``ThroughputModel`` protocol used by
-:mod:`repro.mpi.runtime`: a ``core_ipc(profile_a, profile_b, prio_a,
-prio_b) -> (ipc_a, ipc_b)`` method.
+:mod:`repro.mpi.runtime`: a ``chip_ipc(core_states, key=None)`` method
+returning one ``(ipc_a, ipc_b)`` pair per core.
 """
 
 from __future__ import annotations
@@ -97,9 +97,11 @@ class ThroughputTable:
         profile_b: Optional[LoadProfile],
         prio_a: int,
         prio_b: int,
+        key: Optional[tuple] = None,
     ) -> ThroughputResult:
-        """Measure (or fetch the cached) operating point for this key."""
-        key = self._key(profile_a, profile_b, prio_a, prio_b)
+        """Measure (or fetch the cached) operating point; ``key`` skips :meth:`_key`."""
+        if key is None:
+            key = self._key(profile_a, profile_b, prio_a, prio_b)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -139,9 +141,14 @@ class ThroughputTable:
         del external_traffic
         return self.measure(profile_a, profile_b, prio_a, prio_b).pair
 
-    def chip_ipc(self, core_states) -> Tuple[Tuple[float, float], ...]:
-        """Per-core measurement without cross-core coupling."""
-        return tuple(self.core_ipc(pa, pb, xa, xb) for (pa, pb, xa, xb) in core_states)
+    def chip_ipc(self, core_states, key=None) -> Tuple[Tuple[float, float], ...]:
+        """Per-core measurement without cross-core coupling; ``key`` is
+        the per-core name key of ``AnalyticThroughputModel.chip_ipc``."""
+        keys = key or (None,) * len(core_states)
+        return tuple(
+            self.measure(pa, pb, xa, xb, k).pair
+            for k, (pa, pb, xa, xb) in zip(keys, core_states)
+        )
 
     @property
     def cached_keys(self) -> int:

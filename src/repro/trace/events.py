@@ -27,6 +27,9 @@ class RankState(enum.Enum):
     NOISE = "noise"  # preempted by OS noise (daemon, interrupt handler)
     IDLE = "idle"  # finished, context idle
 
+    #: Singletons: hash by identity, not by Enum's hash of the name.
+    __hash__ = object.__hash__
+
     @property
     def is_waiting(self) -> bool:
         """Counts toward the paper's 'waiting time' metric."""

@@ -125,10 +125,13 @@ def compute_stats(trace: Trace, window: Optional[Tuple[float, float]] = None) ->
 
     per_rank: List[RankStats] = []
     for tl in trace:
-        intervals = tl.clipped(t0, t1) if window is not None else tl.intervals
-        totals: Dict[RankState, float] = {}
-        for iv in intervals:
-            totals[iv.state] = totals.get(iv.state, 0.0) + iv.duration
+        if window is None:
+            # The running totals: the loop below, over every interval.
+            totals: Dict[RankState, float] = tl.totals
+        else:
+            totals = {}
+            for iv in tl.clipped(t0, t1):
+                totals[iv.state] = totals.get(iv.state, 0.0) + iv.duration
         accounted = sum(totals.values())
         compute = (
             totals.get(RankState.COMPUTE, 0.0)

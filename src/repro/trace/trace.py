@@ -24,6 +24,9 @@ class RankTimeline:
             raise TraceError(f"rank must be >= 0, got {rank}")
         self.rank = rank
         self.intervals: List[StateInterval] = []
+        #: Per-state running sum of closed durations, added in interval
+        #: order: the floats a re-sum of ``intervals`` gives, bit for bit.
+        self.totals: Dict[RankState, float] = {}
         self._open_state: Optional[RankState] = None
         self._open_since: float = 0.0
         self._closed = False
@@ -59,9 +62,10 @@ class RankTimeline:
                     f"({time} < {self._open_since})"
                 )
             if time > self._open_since:
-                self.intervals.append(
-                    StateInterval(self._open_since, time, self._open_state)
-                )
+                closing = self._open_state
+                self.intervals.append(StateInterval(self._open_since, time, closing))
+                totals = self.totals
+                totals[closing] = totals.get(closing, 0.0) + (time - self._open_since)
         self._open_state = state
         self._open_since = time
 
@@ -78,7 +82,9 @@ class RankTimeline:
         return self._open_since
 
     def time_in(self, *states: RankState) -> float:
-        """Total recorded time spent in any of ``states``."""
+        """Total recorded time spent in any of ``states`` (int 0 if none)."""
+        if len(states) == 1:
+            return self.totals.get(states[0], 0)
         wanted = set(states)
         return sum(iv.duration for iv in self.intervals if iv.state in wanted)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.machine import ClusterConfig, ClusterMachine
 from repro.errors import ConfigurationError, InvalidPriorityError, PrivilegeError
-from repro.kernel.hmt import Actor, HmtController
+from repro.kernel.hmt import Actor, HmtController, PriorityWrite
 from repro.smt.chip import Power5Chip
 from repro.smt.priorities import PRIORITY_TABLE, HardwarePriority, can_set_priority
 
@@ -153,3 +153,43 @@ class TestCpuBounds:
         with pytest.raises(ConfigurationError):
             hmt.set_priority(4, 5, Actor.OS)
         assert hmt.history == []
+
+
+class TestIntStorage:
+    """Levels are stored as plain ints; the accessors still hand out
+    :class:`HardwarePriority` members, and the audit record is frozen."""
+
+    def test_priority_write_is_an_immutable_record(self, hmt):
+        hmt.set_priority(0, 3, Actor.USER, time=1.5)
+        write = hmt.history[-1]
+        assert write == PriorityWrite(1.5, 0, 3, Actor.USER, "mtspr")
+        assert (write.time, write.cpu, write.priority, write.actor, write.via) == (
+            1.5, 0, 3, Actor.USER, "mtspr",
+        )
+        with pytest.raises(AttributeError):
+            write.priority = 5
+
+    def test_accessors_return_members(self, hmt):
+        hmt.set_priority(1, 6, Actor.OS)
+        assert hmt.read_tsr(1) is HardwarePriority.HIGH
+        assert hmt.chip.priority(1) is HardwarePriority.HIGH
+        assert hmt.priorities() == (4, 6, 4, 4)
+        assert all(type(p) is HardwarePriority for p in hmt.priorities())
+        core = hmt.chip.cores[0]
+        assert core.priority(1) is HardwarePriority.HIGH
+        assert core.priorities == (HardwarePriority.MEDIUM, HardwarePriority.HIGH)
+
+    def test_member_writes_are_stored_as_ints(self, hmt):
+        hmt.set_priority(0, HardwarePriority.LOW, Actor.USER)
+        hmt.set_priority(1, 3, Actor.USER)
+        stored = hmt.chip.cores[0].snapshot().priorities
+        assert stored == (2, 3)
+        assert [type(x) for x in stored] == [int, int]
+        assert [type(w.priority) for w in hmt.history] == [int, int]
+
+    def test_cluster_machine_writes_through(self):
+        machine = ClusterMachine(ClusterConfig(n_nodes=2))
+        hmt = HmtController(machine)
+        hmt.set_priority(5, 6, Actor.OS)
+        assert machine.priority(5) is HardwarePriority.HIGH
+        assert machine.chips[1].priority(1) is HardwarePriority.HIGH
