@@ -552,6 +552,11 @@ class MpiRuntime:
         proc.profile_name = op.profile
         proc.compute_trace_state = op.state
         self._set_context_load(proc, op.profile)
+        if self._group_of_core[proc.core_idx] not in self._dirty_groups:
+            # The load did not change (``spin`` over the spin posture):
+            # nothing to re-solve, but the last rate is another profile's.
+            ipc = self._ipc_by_core[proc.core_idx][proc.thread]
+            proc.rate = ipc * self.chip.config.freq_hz
         self._set_trace(proc, op.state)
 
     _COLLECTIVE_KINDS = {

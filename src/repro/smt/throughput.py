@@ -97,11 +97,9 @@ class ThroughputTable:
         profile_b: Optional[LoadProfile],
         prio_a: int,
         prio_b: int,
-        key: Optional[tuple] = None,
     ) -> ThroughputResult:
-        """Measure (or fetch the cached) operating point; ``key`` skips :meth:`_key`."""
-        if key is None:
-            key = self._key(profile_a, profile_b, prio_a, prio_b)
+        """Measure (or fetch the cached) operating point for this key."""
+        key = self._key(profile_a, profile_b, prio_a, prio_b)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -142,13 +140,10 @@ class ThroughputTable:
         return self.measure(profile_a, profile_b, prio_a, prio_b).pair
 
     def chip_ipc(self, core_states, key=None) -> Tuple[Tuple[float, float], ...]:
-        """Per-core measurement without cross-core coupling; ``key`` is
-        the per-core name key of ``AnalyticThroughputModel.chip_ipc``."""
-        keys = key or (None,) * len(core_states)
-        return tuple(
-            self.measure(pa, pb, xa, xb, k).pair
-            for k, (pa, pb, xa, xb) in zip(keys, core_states)
-        )
+        """Per-core measurement without cross-core coupling; the runtime's
+        per-core name ``key`` is unused (:meth:`measure` keys by profile)."""
+        del key
+        return tuple(self.core_ipc(pa, pb, xa, xb) for (pa, pb, xa, xb) in core_states)
 
     @property
     def cached_keys(self) -> int:

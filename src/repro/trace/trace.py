@@ -83,10 +83,7 @@ class RankTimeline:
 
     def time_in(self, *states: RankState) -> float:
         """Total recorded time spent in any of ``states`` (int 0 if none)."""
-        if len(states) == 1:
-            return self.totals.get(states[0], 0)
-        wanted = set(states)
-        return sum(iv.duration for iv in self.intervals if iv.state in wanted)
+        return sum(self.totals.get(s, 0) for s in dict.fromkeys(states))
 
     def state_at(self, time: float) -> Optional[RankState]:
         """State at instant ``time`` (None outside recorded span)."""

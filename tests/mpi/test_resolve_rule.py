@@ -6,7 +6,8 @@ dirty until some rank computes. These tests pin the skipped count on a
 small loop, and hold runs byte-exact: against the full-recompute
 reference (``incremental_rates=False``) under the live invariant
 checker, and against digests recorded before the rule existed, for both
-throughput models on the one runtime path.
+throughput models on the one runtime path. A compute over an unchanged
+load (``spin`` over the spin posture) must still run at that load's rate.
 """
 
 import hashlib
@@ -15,13 +16,14 @@ import pytest
 
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
-from repro.mpi.runtime import MpiRuntime
+from repro.mpi.runtime import MpiRuntime, RuntimeConfig
 from repro.policies.corpus import tournament_corpus
 from repro.scenarios.engines import CycleEngine, FluidEngine
 from repro.scenarios.generator import ScenarioGenerator
 from repro.smt.analytic import AnalyticThroughputModel
 from repro.smt.chip import ChipConfig
 from repro.smt.throughput import ThroughputTable
+from repro.trace.events import RankState
 from repro.workloads.generators import barrier_loop_programs
 
 #: sha256 over the trace digests of ``tournament_corpus(name, 8, 3)``,
@@ -84,3 +86,46 @@ class TestReferenceParity:
             assert spec.name == name
             run = CycleEngine().run(spec, options={"table": table})
             assert run.digest == digest, name
+
+
+def _spin_compute_durations(wait_mode, n_ranks):
+    """Rank 0 computes, waits for an eager message, then computes ``spin``.
+
+    Rank 1 finishes before the message lands, so with two ranks every
+    rank waits for a step; a third rank keeps computing throughout.
+    """
+
+    def rank0(mpi):
+        yield mpi.compute(1e8, profile="hpc")
+        yield mpi.recv(1)
+        yield mpi.compute(1e9, profile="spin")
+
+    def rank1(mpi):
+        yield mpi.compute(1e9, profile="int")
+        yield mpi.send(0, 0, 1024)
+
+    def rank2(mpi):
+        yield mpi.compute(2e10, profile="hpc")
+
+    system = System(SystemConfig(runtime=RuntimeConfig(wait_mode=wait_mode)))
+    result = system.run(
+        [rank0, rank1, rank2][:n_ranks],
+        mapping=ProcessMapping.identity(n_ranks),
+    )
+    return [
+        iv.duration
+        for iv in result.trace[0].intervals
+        if iv.state is RankState.COMPUTE
+    ]
+
+
+class TestComputeOverWaitPosture:
+    @pytest.mark.parametrize("n_ranks", [2, 3], ids=["all-wait", "one-computes"])
+    def test_spin_compute_gets_its_own_rate(self, n_ranks):
+        """Computing ``spin`` over the spin posture changes no load, yet the
+        rank must run at the spin rate, not its previous ``hpc`` rate. In
+        block mode the load does change, which gives the reference."""
+        (hpc, spin) = _spin_compute_durations("spin", n_ranks)
+        (_, reference) = _spin_compute_durations("block", n_ranks)
+        assert spin == pytest.approx(reference, rel=1e-12)
+        assert spin != pytest.approx(10 * hpc, rel=1e-3)
