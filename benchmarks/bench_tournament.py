@@ -60,8 +60,9 @@ def _best_of(reps, fn):
 
 def test_tournament_batch_vs_scalar():
     # Cells per tournament: every policy sweep plus the shared baseline
-    # sweep (no-op policies reuse the baseline, so this is an upper
-    # bound the two strategies share — the ratio is unaffected).
+    # sweep. An upper bound on the runs: each distinct option-less cell
+    # is simulated once per tournament, keyed by spec fingerprint, on
+    # both strategies alike — the ratio is unaffected.
     cells = CONFIG.n_scenarios * (len(CONFIG.policies) + 1)
 
     batch_s, batched = _best_of(

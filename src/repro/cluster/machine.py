@@ -123,21 +123,20 @@ class ClusterMachine:
         self.chips: List[Power5Chip] = [
             Power5Chip(self.config.chip) for _ in range(self.config.n_nodes)
         ]
+        #: ``(chip, local cpu)`` per global CPU, resolved once.
+        local = range(self.config.cpus_per_node)
+        self._chip_cpus = [(chip, cpu) for chip in self.chips for cpu in local]
 
     # -- addressing ------------------------------------------------------------
 
     def node_of_cpu(self, cpu: int) -> int:
         """Which node hosts global CPU ``cpu``."""
-        if not 0 <= cpu < self.config.n_cpus:
-            raise ConfigurationError(
-                f"cpu must be in 0..{self.config.n_cpus - 1}, got {cpu}"
-            )
+        self._chip_cpu(cpu)  # bounds check
         return cpu // self.config.cpus_per_node
 
     def local_cpu(self, cpu: int) -> int:
         """The node-local CPU id of global CPU ``cpu``."""
-        self.node_of_cpu(cpu)  # bounds check
-        return cpu % self.config.cpus_per_node
+        return self._chip_cpu(cpu)[1]
 
     @property
     def cpus(self) -> List[int]:
@@ -163,7 +162,11 @@ class ClusterMachine:
         ]
 
     def _chip_cpu(self, cpu: int) -> Tuple[Power5Chip, int]:
-        return self.chips[self.node_of_cpu(cpu)], self.local_cpu(cpu)
+        if not 0 <= cpu < len(self._chip_cpus):  # a bare index accepts -1
+            raise ConfigurationError(
+                f"cpu must be in 0..{len(self._chip_cpus) - 1}, got {cpu}"
+            )
+        return self._chip_cpus[cpu]
 
     def priority(self, cpu: int) -> HardwarePriority:
         chip, local = self._chip_cpu(cpu)

@@ -113,6 +113,8 @@ class DynamicBalancer:
         self.config = config or DynamicBalancerConfig()
         self._last_sync: Dict[int, float] = {}
         self._last_time = 0.0
+        #: Rank pairs sharing a core, in core order; set at the first tick.
+        self._pairs: Optional[List[Tuple[int, int]]] = None
         #: (time, rank, old, new) log of adjustments, for analysis.
         self.adjustments: List[Tuple[float, int, int, int]] = []
 
@@ -123,6 +125,7 @@ class DynamicBalancer:
     def reset(self) -> None:
         self._last_sync.clear()
         self._last_time = 0.0
+        self._pairs = None
         self.adjustments.clear()
 
     # -- observation -----------------------------------------------------------
@@ -145,14 +148,12 @@ class DynamicBalancer:
         """One control step: rebalance every core pair."""
         cfg = self.config
         sync = self._window_sync_fractions(runtime, now)
-        # Group running ranks by core.
-        by_core: Dict[int, List[int]] = {}
-        for rank, cpu in runtime.mapping.items():
-            by_core.setdefault(cpu // 2, []).append(rank)
-        for core, ranks in sorted(by_core.items()):
-            if len(ranks) != 2:
-                continue
-            a, b = ranks
+        if self._pairs is None:
+            by_core: Dict[int, List[int]] = {}
+            for rank, cpu in runtime.mapping.items():
+                by_core.setdefault(cpu // 2, []).append(rank)
+            self._pairs = [tuple(r) for _, r in sorted(by_core.items()) if len(r) == 2]
+        for a, b in self._pairs:
             # The rank that waited more is over-resourced; the one that
             # waited less is the (local) bottleneck.
             waiter, busy = (a, b) if sync[a] >= sync[b] else (b, a)

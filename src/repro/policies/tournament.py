@@ -9,8 +9,8 @@ priorities), dynamic policies ride the fluid engine's ``controllers``
 option, and allocation and placement policies rewrite the spec's
 *mapping* (the thread-to-core and rank-to-node axes) while leaving
 priorities at MEDIUM — every family goes through one
-:func:`apply_policy` call and ``Engine.run_batch``, so a 7-policy × 50-cell
-tournament is 8 batched sweeps, not 400 scalar runs. When a
+:func:`apply_policy` call and ``Engine.run_batch``, and each distinct
+option-less cell is simulated once per tournament. When a
 tournament fields both allocation and priority policies the rendered
 leaderboard appends a mapping-vs-priority differential line
 (:meth:`Leaderboard.differential_evidence`; display-only, never part
@@ -33,14 +33,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import Policy
 from repro.errors import ConfigurationError, PersistenceError, ValidationError
 from repro.policies.corpus import CORPORA, tournament_corpus
 from repro.policies.zoo import DEFAULT_POLICIES, get_policy
 from repro.scenarios import ScenarioSpec, get_engine
-from repro.scenarios.engines import Engine, ExecutionResult
+from repro.scenarios.engines import Engine
 from repro.telemetry import default_registry
 from repro.util.fingerprint import fingerprint_doc
 from repro.util.tables import TextTable
@@ -455,9 +455,9 @@ def apply_policy(
     uses) through :meth:`~repro.core.Policy.apply`: static policies
     write priorities, allocation and placement policies write the
     mapping, dynamic policies return a ``controllers`` factory for the
-    engine. A no-op plan returns the spec *itself*, so the no-op
-    baseline keeps the corpus spec's canonical bytes and the
-    baseline-reuse fast path in :func:`run_tournament` fires.
+    engine. A no-op plan returns the spec *itself*, so it keeps the
+    corpus spec's canonical bytes and fingerprint, and
+    :func:`run_tournament` scores it from the baseline run.
     """
     changes, options = policy.apply(
         planning_works(spec),
@@ -488,16 +488,22 @@ def _observe_policy(name: str, improvements: Sequence[float]) -> None:
 def _run_cells(
     engine: Engine,
     specs: List[ScenarioSpec],
-    labels: List[str],
+    label: str,
     options: Optional[dict],
     batch: bool,
-) -> List[ExecutionResult]:
+) -> List[Tuple[float, Optional[float]]]:
+    """Run ``specs``, keeping only ``(total_time, imbalance_percent)``."""
+    if not specs:
+        return []
+    labels = [f"tournament.{label}.{spec.name}" for spec in specs]
     if batch:
-        return engine.run_batch(specs, labels=labels, options=options)
-    return [
-        engine.run(spec, label=label, options=options)
-        for spec, label in zip(specs, labels)
-    ]
+        results = engine.run_batch(specs, labels=labels, options=options)
+    else:
+        results = [
+            engine.run(spec, label=name, options=options)
+            for spec, name in zip(specs, labels)
+        ]
+    return [(r.total_time, r.imbalance_percent) for r in results]
 
 
 def run_tournament(
@@ -507,6 +513,10 @@ def run_tournament(
     engine: Optional[Engine] = None,
 ) -> Leaderboard:
     """Score every (policy × scenario) cell and rank the zoo.
+
+    Each distinct option-less cell is simulated once per tournament,
+    keyed by spec fingerprint; cells with engine options (a dynamic
+    policy's ``controllers`` factory) are never shared.
 
     ``batch`` picks the execution strategy only (``run_batch`` vs a
     scalar loop) — results and the leaderboard fingerprint are
@@ -529,43 +539,28 @@ def run_tournament(
                 )
 
     # The ST baseline: the corpus exactly as drawn — no priority writes.
-    baseline = _run_cells(
-        eng,
-        specs,
-        [f"tournament.baseline.{s.name}" for s in specs],
-        None,
-        batch,
-    )
-    base_times = [r.total_time for r in baseline]
-    if any(r.imbalance_percent is None for r in baseline):
+    baseline = _run_cells(eng, specs, "baseline", None, batch)
+    if any(imbalance is None for _, imbalance in baseline):
         raise ConfigurationError(
             f"engine {eng.name!r} reports no imbalance metric; the "
             "tournament needs a trace-producing engine"
         )
+    base_times = [t for t, _ in baseline]
+    # Scored numbers per distinct option-less cell, by spec fingerprint.
+    scored = dict(zip([s.fingerprint for s in specs], baseline))
 
     scores: List[PolicyScore] = []
     for policy, cells in zip(policies, plans):
-        options = None
-        for _, cell_options in cells:
-            if cell_options is not None:
-                options = cell_options
-                break
         cell_specs = [spec for spec, _ in cells]
-        if options is None and all(
-            cell is original for cell, original in zip(cell_specs, specs)
-        ):
-            # The policy wrote nothing anywhere (the ST reference, or a
-            # ladder that never triggered): its cells ARE the baseline.
-            results = baseline
+        options = next((o for _, o in cells if o is not None), None)
+        if options is None:
+            fresh = {c.fingerprint: c for c in cell_specs if c.fingerprint not in scored}
+            new = _run_cells(eng, list(fresh.values()), policy.name, None, batch)
+            scored.update(zip(fresh, new))
+            numbers = [scored[s.fingerprint] for s in cell_specs]
         else:
-            results = _run_cells(
-                eng,
-                cell_specs,
-                [f"tournament.{policy.name}.{s.name}" for s in cell_specs],
-                options,
-                batch,
-            )
-        times = [r.total_time for r in results]
+            numbers = _run_cells(eng, cell_specs, policy.name, options, batch)
+        times = [t for t, _ in numbers]
         improvements = [
             (base - t) / base * 100.0 for base, t in zip(base_times, times)
         ]
@@ -581,7 +576,7 @@ def run_tournament(
                 policy_fingerprint=policy.fingerprint,
                 cells=len(specs),
                 mean_imbalance_percent=(
-                    sum(r.imbalance_percent for r in results) / len(results)
+                    sum(imbalance for _, imbalance in numbers) / len(numbers)
                 ),
                 mean_improvement_percent=sum(improvements) / len(improvements),
                 worst_regression_percent=max(0.0, -min(improvements)),

@@ -24,6 +24,27 @@ class TestAddressing:
         with pytest.raises(ConfigurationError):
             machine.node_of_cpu(12)
 
+    @pytest.mark.parametrize("cpu", [-1, 12])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, cpu: m.priority(cpu),
+            lambda m, cpu: m.set_priority(cpu, 6),
+            lambda m, cpu: m.store_priority(cpu, 6),
+            lambda m, cpu: m.load(cpu),
+            lambda m, cpu: m.set_load(cpu, BASE_PROFILES["hpc"]),
+        ],
+        ids=["priority", "set_priority", "store_priority", "load", "set_load"],
+    )
+    def test_state_calls_reject_out_of_range_cpus(self, machine, call, cpu):
+        # -1 is the case a bare table index would silently accept.
+        with pytest.raises(ConfigurationError):
+            call(machine, cpu)
+        for chip in machine.chips:
+            for local in chip.cpus:
+                assert int(chip.priority(local)) == 4
+                assert chip.load(local) is None
+
     def test_core_groups_per_chip(self, machine):
         assert machine.core_groups == [[0, 1], [2, 3], [4, 5]]
         assert len(machine.cores) == 6

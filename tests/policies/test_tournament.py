@@ -16,8 +16,10 @@ from repro.policies import (
     planning_works,
     run_tournament,
 )
+from repro.policies.corpus import tournament_corpus
 from repro.policies.tournament import CASE_D_DOCUMENTED_LOSS_PERCENT
 from repro.scenarios import ScenarioSpec
+from repro.scenarios.engines import FluidEngine
 
 
 def small_config(**overrides):
@@ -135,6 +137,113 @@ class TestDeterminism:
         a = run_tournament(small_config(seed=1))
         b = run_tournament(small_config(seed=2))
         assert a.fingerprint != b.fingerprint
+
+
+class CountingEngine(FluidEngine):
+    """A fluid engine that logs every simulated cell."""
+
+    def __init__(self):
+        super().__init__()
+        #: (label, spec fingerprint, ran with engine options) per run.
+        self.runs = []
+
+    def run(self, spec, label=None, system=None, options=None):
+        self.runs.append((label, spec.fingerprint, options is not None))
+        return super().run(spec, label=label, system=system, options=options)
+
+
+#: A cluster-corpus board whose cells coincide: paper-c and paper-d
+#: no-ops re-plan baseline cells, lpt re-plans propshare and paper-c
+#: cells, and random-placement draws one baseline layout.
+CLUSTER_BOARD = TournamentConfig(
+    policies=DEFAULT_POLICIES + PLACEMENT_POLICIES,
+    corpus="cluster",
+    n_scenarios=4,
+    seed=4,
+)
+#: Recorded with every cell simulated separately: sharing cells must not
+#: move a single byte of the leaderboard.
+CLUSTER_BOARD_FINGERPRINT = (
+    "9df6bbe95a7f2a689220ad0dffe7db9fffa881414834cc409be012d94987078f"
+)
+
+
+def _planned_fingerprints(config):
+    """Per policy: (cell fingerprints, carries engine options)."""
+    specs = tournament_corpus(config.corpus, config.n_scenarios, config.seed)
+    planned = {}
+    for name in config.policies:
+        cells = [apply_policy(get_policy(name), spec) for spec in specs]
+        planned[name] = (
+            [cell.fingerprint for cell, _ in cells],
+            any(options is not None for _, options in cells),
+        )
+    return specs, planned
+
+
+class TestCellMemo:
+    def test_runs_baseline_plus_new_fingerprints_plus_option_cells(self):
+        specs, planned = _planned_fingerprints(CLUSTER_BOARD)
+        seen = {spec.fingerprint for spec in specs}
+        expected = len(specs)
+        for name in CLUSTER_BOARD.policies:
+            fingerprints, has_options = planned[name]
+            if has_options:
+                expected += len(fingerprints)
+            else:
+                expected += len(set(fingerprints) - seen)
+                seen.update(fingerprints)
+        naive = len(specs) * (len(CLUSTER_BOARD.policies) + 1)
+        assert expected < naive - len(specs), "the board shares no cells"
+        engine = CountingEngine()
+        run_tournament(CLUSTER_BOARD, engine=engine)
+        assert len(engine.runs) == expected
+        shared = [fp for _, fp, has_options in engine.runs if not has_options]
+        assert len(shared) == len(set(shared)), "an option-less cell ran twice"
+
+    def test_identical_plans_simulate_once(self):
+        config = TournamentConfig(
+            policies=("propshare", "lpt"), corpus="cluster", n_scenarios=4, seed=4
+        )
+        _, planned = _planned_fingerprints(config)
+        common = set(planned["propshare"][0]) & set(planned["lpt"][0])
+        assert common, "propshare and lpt plan no common cell on this corpus"
+        engine = CountingEngine()
+        run_tournament(config, engine=engine)
+        for fingerprint in common:
+            labels = [label for label, fp, _ in engine.runs if fp == fingerprint]
+            assert len(labels) == 1
+            assert labels[0].startswith("tournament.propshare.")
+
+    def test_dynamic_cells_are_never_shared(self):
+        config = small_config(policies=("st", "hysteresis"))
+        engine = CountingEngine()
+        board = run_tournament(config, engine=engine)
+        controlled = [
+            fp for label, fp, has_options in engine.runs
+            if label.startswith("tournament.hysteresis.")
+        ]
+        # Every controlled cell plans the corpus spec itself (the same
+        # fingerprint the baseline ran) and still runs, with its options.
+        assert controlled == list(board.scenario_fingerprints)
+        assert all(
+            has_options
+            for label, _, has_options in engine.runs
+            if label.startswith("tournament.hysteresis.")
+        )
+        assert len(engine.runs) == 2 * config.n_scenarios
+
+    def test_batch_and_scalar_share_cells_alike(self):
+        batched, scalar = CountingEngine(), CountingEngine()
+        a = run_tournament(CLUSTER_BOARD, batch=True, engine=batched)
+        b = run_tournament(CLUSTER_BOARD, batch=False, engine=scalar)
+        assert a.fingerprint == b.fingerprint
+        assert batched.runs == scalar.runs
+
+    def test_cluster_board_fingerprint_pinned(self):
+        assert run_tournament(CLUSTER_BOARD).fingerprint == (
+            CLUSTER_BOARD_FINGERPRINT
+        )
 
 
 class TestScoring:
@@ -269,8 +378,8 @@ class TestAllocationFamily:
 
     def test_noop_plan_keeps_spec_identity(self):
         # paired-extremes on this skew reproduces the identity layout's
-        # partition, so the spec object (and the baseline-reuse fast
-        # path keyed on it) must survive untouched.
+        # partition, so the spec object (and with it the fingerprint the
+        # tournament scores from the baseline run) must survive untouched.
         spec = ScenarioSpec(
             name="already", kind="barrier_loop",
             works=(8e8, 2.4e9, 1.2e9, 2.0e9), iterations=2,
@@ -322,7 +431,7 @@ class TestAllocationFamily:
 
     def test_placement_policy_is_a_noop_on_single_chip_specs(self):
         # No topology, nothing to place: the spec object itself must
-        # survive so the baseline-reuse fast path still fires.
+        # survive so the cell is scored from the baseline run.
         spec = ScenarioSpec(
             name="flat", kind="barrier_loop",
             works=(1e9, 2e9, 1.5e9, 3e9), iterations=2,
