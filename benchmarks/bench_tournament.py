@@ -16,7 +16,10 @@ the worst case. That bar is deliberately modest physics: every fluid
 cell keeps its own discrete event loop (trap cells add hundreds of
 controller ticks), and the fluid ``run_batch`` is the plain loop over
 ``run`` on one warm engine, so a batched and a scalar sweep do the same
-work and the ratio sits near 1x, within container jitter on a bad run.
+work and the ratio sits near 1x. After one untimed warm-up tournament
+the two sides are timed in interleaved pairs, alternating which runs
+first, and their medians are compared, so host drift and run order land
+on both sides alike.
 ``bench_batch_engines.py`` owns the headline engine-level speedups; this
 file pins what batching means *at tournament scale* and records the
 measured cells/second. (``_meta.note`` in the results file is kept as
@@ -25,6 +28,7 @@ first written, from when the fluid batch path still had a presolve.)
 
 import json
 import pathlib
+import statistics
 import time
 
 from repro.policies import TournamentConfig, run_tournament
@@ -32,7 +36,8 @@ from repro.scenarios.engines import FluidEngine
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_tournament.json"
 
-REPS = 3  # best-of-N keeps single-run container jitter out of the ratio
+#: Interleaved (batch, scalar) pairs; odd pairs run scalar first.
+PAIRS = 8
 
 CONFIG = TournamentConfig(corpus="fuzz", n_scenarios=48, seed=0)
 
@@ -48,14 +53,11 @@ _BASELINE_META = {
 }
 
 
-def _best_of(reps, fn):
-    """(best_seconds, last_return) over ``reps`` timed calls."""
-    best, value = float("inf"), None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, value
+def _timed(fn):
+    """(seconds, return value) of one call."""
+    t0 = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - t0, value
 
 
 def test_tournament_batch_vs_scalar():
@@ -65,12 +67,21 @@ def test_tournament_batch_vs_scalar():
     # both strategies alike — the ratio is unaffected.
     cells = CONFIG.n_scenarios * (len(CONFIG.policies) + 1)
 
-    batch_s, batched = _best_of(
-        REPS, lambda: run_tournament(CONFIG, batch=True, engine=FluidEngine())
-    )
-    scalar_s, scalar = _best_of(
-        REPS, lambda: run_tournament(CONFIG, batch=False, engine=FluidEngine())
-    )
+    sides = {
+        "batch": lambda: run_tournament(CONFIG, batch=True, engine=FluidEngine()),
+        "scalar": lambda: run_tournament(CONFIG, batch=False, engine=FluidEngine()),
+    }
+    sides["batch"]()  # untimed: neither side pays the process's cold start
+    times = {"batch": [], "scalar": []}
+    boards = {}
+    for pair in range(PAIRS):
+        for side in (("batch", "scalar") if pair % 2 == 0
+                     else ("scalar", "batch")):
+            seconds, boards[side] = _timed(sides[side])
+            times[side].append(seconds)
+    batched, scalar = boards["batch"], boards["scalar"]
+    batch_s = statistics.median(times["batch"])
+    scalar_s = statistics.median(times["scalar"])
 
     assert batched.fingerprint == scalar.fingerprint, (
         "batch and scalar tournaments computed different leaderboards"
@@ -89,6 +100,7 @@ def test_tournament_batch_vs_scalar():
         "batch_cells_per_s": cells / batch_s,
         "scalar_s": scalar_s,
         "scalar_cells_per_s": cells / scalar_s,
+        "pair_times_s": times,
         "speedup_x": speedup,
         "_meta": _BASELINE_META,
     }

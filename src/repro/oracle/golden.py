@@ -50,9 +50,10 @@ from typing import List, Tuple
 from repro.core import joint_search
 from repro.errors import GoldenMismatchError, OracleError
 from repro.machine.system import System, SystemConfig
-from repro.mpi.runtime import RunResult
 from repro.policies import TournamentConfig, run_tournament
-from repro.scenarios import ScenarioSpec, get_engine, trace_digest
+from repro.scenarios import (
+    ExecutionResult, ScenarioSpec, get_engine, trace_digest,
+)
 from repro.util.fingerprint import fingerprint_doc
 
 __all__ = [
@@ -152,24 +153,15 @@ def default_records() -> List[Tuple[str, str, dict]]:
 # -- the per-kind replays: input doc -> expected doc ----------------------------
 
 
-def _trace_doc(run: RunResult) -> dict:
+def _trace_doc(result: ExecutionResult) -> dict:
+    """The engine's run summary under the golden record's field names."""
     return {
-        "trace_digest": trace_digest(run),
-        "total_time": run.total_time,
-        "imbalance_percent": run.imbalance_percent,
-        "events_processed": run.events_processed,
-        "final_priorities": [int(p) for p in run.final_priorities],
-        "ranks": [
-            {
-                "rank": r.rank,
-                "compute": r.compute_fraction,
-                "sync": r.sync_fraction,
-                "comm": r.comm_fraction,
-                "noise": r.noise_fraction,
-                "idle": r.idle_fraction,
-            }
-            for r in run.stats.ranks
-        ],
+        "trace_digest": result.digest,
+        "total_time": result.total_time,
+        "imbalance_percent": result.imbalance_percent,
+        "events_processed": result.events_processed,
+        "final_priorities": list(result.final_priorities),
+        "ranks": list(result.ranks),
     }
 
 
@@ -182,7 +174,7 @@ def _replay_trace(doc: dict) -> dict:
         scenario,
         label=f"oracle.{scenario.name}",
         options={"check_invariants": True},
-    ).run)
+    ))
 
 
 def _replay_joint_search(doc: dict) -> dict:
@@ -428,7 +420,7 @@ def check_all(
         options={"check_invariants": True},
     )
     return checks + [
-        _compare(c.path, c.record, _as_json(_trace_doc(r.run)), tolerance,
+        _compare(c.path, c.record, _as_json(_trace_doc(r)), tolerance,
                  strict, batch=True)
         for c, r in zip(traces, results)
     ]

@@ -439,13 +439,7 @@ def _check_run_accounting(result) -> None:
 )
 def _check_run_fractions(result) -> None:
     for r in result.stats.ranks:
-        parts = {
-            "compute": r.compute_fraction,
-            "sync": r.sync_fraction,
-            "comm": r.comm_fraction,
-            "noise": r.noise_fraction,
-            "idle": r.idle_fraction,
-        }
+        parts = r.fractions()
         for label, frac in parts.items():
             if not -1e-12 <= frac <= 1.0 + 1e-9:
                 _fail(

@@ -52,6 +52,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.spec import TopologySpec
@@ -171,14 +172,16 @@ def fast_cycle_table(seed: int = 0) -> ThroughputTable:
     return ThroughputTable(warmup_cycles=2_000, measure_cycles=8_000, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExecutionResult:
     """What every engine returns for one executed spec.
 
-    ``digest`` is the sha256 trace digest for trace-producing engines
-    and ``None`` for closed-form ones; ``run`` keeps the raw
-    :class:`~repro.mpi.runtime.RunResult` for callers that need the
-    trace itself (excluded from equality and serialisation).
+    ``run`` keeps the raw :class:`~repro.mpi.runtime.RunResult` of
+    trace-producing engines (``None`` for closed-form ones). The run's
+    summary (``digest``, ``final_priorities``, ``ranks``) is built from
+    it the first time it is read and then cached, so a caller that
+    reads only the two metrics never hashes the trace. Equality is
+    equality of :meth:`to_doc`.
     """
 
     engine: str
@@ -186,12 +189,9 @@ class ExecutionResult:
     label: str
     total_time: float
     compute_seconds: float
-    digest: Optional[str] = None
     imbalance_percent: Optional[float] = None
     events_processed: int = 0
-    final_priorities: Tuple[int, ...] = ()
-    ranks: Tuple[dict, ...] = ()
-    run: Optional[RunResult] = field(default=None, compare=False, repr=False)
+    run: Optional[RunResult] = field(default=None, repr=False)
 
     @classmethod
     def from_run(
@@ -207,23 +207,33 @@ class ExecutionResult:
             label=run.label,
             total_time=run.total_time,
             compute_seconds=compute_seconds,
-            digest=trace_digest(run),
             imbalance_percent=run.imbalance_percent,
             events_processed=run.events_processed,
-            final_priorities=tuple(int(p) for p in run.final_priorities),
-            ranks=tuple(
-                {
-                    "rank": r.rank,
-                    "compute": r.compute_fraction,
-                    "sync": r.sync_fraction,
-                    "comm": r.comm_fraction,
-                    "noise": r.noise_fraction,
-                    "idle": r.idle_fraction,
-                }
-                for r in run.stats.ranks
-            ),
             run=run,
         )
+
+    @cached_property
+    def digest(self) -> Optional[str]:
+        """The sha256 trace digest; ``None`` without a trace."""
+        return None if self.run is None else trace_digest(self.run)
+
+    @property
+    def final_priorities(self) -> Tuple[int, ...]:
+        return () if self.run is None else self.run.final_priorities
+
+    @cached_property
+    def ranks(self) -> Tuple[dict, ...]:
+        """One ``{"rank", <fraction>...}`` doc per rank."""
+        if self.run is None:
+            return ()
+        return tuple(
+            {"rank": r.rank, **r.fractions()} for r in self.run.stats.ranks
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionResult):
+            return NotImplemented
+        return self.to_doc() == other.to_doc()
 
     def to_doc(self) -> dict:
         doc: dict = {

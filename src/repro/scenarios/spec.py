@@ -258,10 +258,10 @@ class ScenarioSpec:
             raise ConfigurationError(f"scenario {self.name!r} has no works")
         if not all(0.0 <= w < math.inf for w in self.works):
             raise ConfigurationError(f"scenario {self.name!r}: works must be finite and >= 0")
-        if self.topology is not None and len(self.works) > machine_cpus:
+        if len(self.works) > machine_cpus:
             raise ConfigurationError(
                 f"scenario {self.name!r}: {len(self.works)} ranks exceed the "
-                f"topology's {machine_cpus} CPUs"
+                f"machine's {machine_cpus} CPUs"
             )
         if self.kind == "distant_pairs" and len(self.works) % 2:
             raise ConfigurationError(

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ServiceError
-from repro.mpi.runtime import RunResult
-from repro.scenarios.engines import ExecutionResult, trace_digest
+from repro.scenarios.engines import ExecutionResult
 from repro.scenarios.registry import engine_for_model
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.fingerprint import fingerprint_doc
@@ -292,33 +291,6 @@ class JobResult:
             final_priorities=result.final_priorities,
             ranks=result.ranks,
             compute_seconds=result.compute_seconds,
-        )
-
-    @classmethod
-    def from_run(
-        cls, spec: JobSpec, run: RunResult, compute_seconds: float
-    ) -> "JobResult":
-        return cls(
-            fingerprint=spec.fingerprint,
-            digest=trace_digest(run),
-            label=run.label,
-            model=spec.model,
-            total_time=run.total_time,
-            imbalance_percent=run.imbalance_percent,
-            events_processed=run.events_processed,
-            final_priorities=tuple(int(p) for p in run.final_priorities),
-            ranks=tuple(
-                {
-                    "rank": r.rank,
-                    "compute": r.compute_fraction,
-                    "sync": r.sync_fraction,
-                    "comm": r.comm_fraction,
-                    "noise": r.noise_fraction,
-                    "idle": r.idle_fraction,
-                }
-                for r in run.stats.ranks
-            ),
-            compute_seconds=compute_seconds,
         )
 
     def to_doc(self) -> dict:

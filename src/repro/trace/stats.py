@@ -18,7 +18,11 @@ from repro.trace.events import RankState
 from repro.trace.trace import Trace
 from repro.util.tables import TextTable
 
-__all__ = ["RankStats", "TraceStats", "compute_stats"]
+__all__ = ["RANK_FRACTIONS", "RankStats", "TraceStats", "compute_stats"]
+
+#: The states a rank's time splits into, in the order every rank doc
+#: lists them; ``RankStats`` holds each as ``<state>_fraction``.
+RANK_FRACTIONS: Tuple[str, ...] = ("compute", "sync", "comm", "noise", "idle")
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,10 @@ class RankStats:
     comm_fraction: float
     noise_fraction: float
     idle_fraction: float
+
+    def fractions(self) -> Dict[str, float]:
+        """``{state: fraction}`` over :data:`RANK_FRACTIONS`, in order."""
+        return {k: getattr(self, f"{k}_fraction") for k in RANK_FRACTIONS}
 
     @property
     def compute_percent(self) -> float:

@@ -9,6 +9,8 @@ every registered backend accepts every scenario the generator draws.
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.oracle.golden import default_records
+from repro.policies import TournamentConfig, run_tournament
 from repro.scenarios import (
     Engine,
     ScenarioGenerator,
@@ -20,6 +22,7 @@ from repro.scenarios import (
     get_engine,
     register,
 )
+from repro.scenarios import engines as engines_module
 from repro.scenarios import registry as registry_module
 
 SPEC = ScenarioSpec(
@@ -125,6 +128,85 @@ class TestResultProvenance:
         assert result.run is None
         assert result.total_time > 0.0
         assert "digest" not in result.to_doc()
+
+
+class TestLazySummary:
+    """The run summary (digest, final priorities, rank docs) is built
+    from the kept run only when read, and reads back exactly what an
+    eager build from the same run gives."""
+
+    GOLDEN = next(
+        ScenarioSpec.from_doc(doc)
+        for kind, name, doc in default_records()
+        if kind == "trace" and name == "barrier-skewed"
+    )
+
+    @staticmethod
+    def eager_summary(run):
+        ranks = tuple(
+            {
+                "rank": r.rank,
+                "compute": r.compute_fraction,
+                "sync": r.sync_fraction,
+                "comm": r.comm_fraction,
+                "noise": r.noise_fraction,
+                "idle": r.idle_fraction,
+            }
+            for r in run.stats.ranks
+        )
+        return engines_module.trace_digest(run), run.final_priorities, ranks
+
+    def test_a_cluster_tournament_computes_no_digest(self, monkeypatch):
+        calls = []
+        real = engines_module.trace_digest
+
+        def counting(run):
+            calls.append(run.label)
+            return real(run)
+
+        monkeypatch.setattr(engines_module, "trace_digest", counting)
+        run_tournament(TournamentConfig(
+            policies=("st", "propshare"), corpus="cluster", n_scenarios=2,
+            seed=4,
+        ))
+        assert calls == []
+        result = get_engine("fluid").run(SPEC)
+        assert result.digest == result.digest
+        assert len(calls) == 1, "the digest is computed once, then cached"
+
+    @pytest.mark.parametrize("engine", ["fluid", "cycle"])
+    def test_lazy_reads_equal_an_eager_build(self, engine):
+        options = {"table": fast_cycle_table()} if engine == "cycle" else None
+        result = get_engine(engine).run(self.GOLDEN, options=options)
+        digest, priorities, ranks = self.eager_summary(result.run)
+        assert result.digest == digest
+        assert result.final_priorities == priorities
+        assert result.ranks == ranks
+        assert result.to_doc() == {
+            "engine": engine,
+            "spec_fingerprint": self.GOLDEN.fingerprint,
+            "label": result.run.label,
+            "total_time": result.run.total_time,
+            "compute_seconds": result.compute_seconds,
+            "events_processed": result.run.events_processed,
+            "final_priorities": list(priorities),
+            "ranks": [dict(r) for r in ranks],
+            "digest": digest,
+            "imbalance_percent": result.run.imbalance_percent,
+        }
+
+    def test_equality_tells_runs_apart(self):
+        fluid = get_engine("fluid")
+        a, b = fluid.run(SPEC).run, fluid.run(self.GOLDEN).run
+
+        def result(run):
+            return engines_module.ExecutionResult(
+                engine="fluid", spec_fingerprint="f", label="l",
+                total_time=1.0, compute_seconds=0.0, run=run,
+            )
+
+        assert result(a) == result(a)
+        assert result(a) != result(b)
 
 
 class TestEveryBackendAcceptsEveryDraw:

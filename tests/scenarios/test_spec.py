@@ -173,6 +173,23 @@ class TestValidation:
 BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), -1.0, -1]
 
 
+class TestRankCountAgainstTheChip:
+    """Every spec fits its machine: more ranks than the single chip has
+    CPUs is rejected up front, not by an engine mid-run."""
+
+    def test_more_ranks_than_chip_cpus_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="exceed the machine's 4 CPUs"):
+            spec_for("barrier_loop", works=(1.0e9,) * 8, priorities=())
+
+    def test_from_doc_raises_validation_error(self):
+        doc = spec_for("barrier_loop").to_doc()
+        doc["works"] = [1.0e9] * 8
+        doc["priorities"] = []
+        with pytest.raises(ValidationError, match="exceed the machine's"):
+            ScenarioSpec.from_doc(doc)
+
+
 class TestNonFiniteAndNegativeNumbers:
     @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
     def test_works_rejected(self, bad):

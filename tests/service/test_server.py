@@ -181,6 +181,19 @@ class TestProtocol:
         status, _doc, _ = request("GET", f"{base}/nothing/here")
         assert status == 404
 
+    def test_more_ranks_than_the_chip_is_400_before_any_attempt(
+        self, live_server
+    ):
+        base = live_server(ScenarioService(ServiceConfig(workers=1)))
+        scenario = dict(scenario_doc("too-wide"), works=[1.0e9] * 8,
+                        priorities=[])
+        status, doc, _ = request(
+            "POST", f"{base}/v1/jobs?wait={WAIT}", {"scenario": scenario}
+        )
+        assert status == 400 and "exceed the machine's 4 CPUs" in doc["error"]
+        _status, metrics, _ = request("GET", f"{base}/metrics")
+        assert metrics["counters"]["submitted"] == 0
+
     def test_backpressure_is_429_with_retry_after(self, live_server):
         release = threading.Event()
 
