@@ -22,8 +22,8 @@ import json
 import pathlib
 import time
 
-from repro.cluster import ClusterConfig, ClusterSystem, ClusterSystemConfig
 from repro.core import candidate_placements, two_level_search
+from repro.machine.system import System, SystemConfig
 from repro.scenarios.engines import trace_digest
 from repro.workloads.generators import distant_pairs_programs
 
@@ -60,10 +60,8 @@ def _record(update: dict) -> None:
     RESULTS_PATH.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
 
 
-def _cluster(n_nodes: int) -> ClusterSystem:
-    return ClusterSystem(
-        ClusterSystemConfig(cluster=ClusterConfig(n_nodes=n_nodes))
-    )
+def _cluster(n_nodes: int) -> System:
+    return System(SystemConfig(n_nodes=n_nodes))
 
 
 def _best_digest(system, factory, result) -> str:

@@ -14,20 +14,14 @@ imbalance sources composing:
 Run:  python examples/cluster_topology.py
 """
 
-from repro import (
-    ClusterConfig,
-    ClusterSystem,
-    ClusterSystemConfig,
-    ProcessMapping,
-    TwoLevelTree,
-)
+from repro import ProcessMapping, System, SystemConfig, TwoLevelTree
 from repro.util.tables import TextTable
 from repro.workloads import ZoneGrid, bt_mz_programs
 
 N_NODES, N_RANKS = 4, 16
-system = ClusterSystem(
-    ClusterSystemConfig(
-        cluster=ClusterConfig(n_nodes=N_NODES),
+system = System(
+    SystemConfig(
+        n_nodes=N_NODES,
         network=TwoLevelTree(nodes_per_switch=2, far_latency=60e-6,
                              far_bandwidth=80e6),
     )

@@ -58,10 +58,6 @@ from repro.smt import (
 )
 from repro.trace import Trace, TraceStats, compute_stats, render_gantt
 from repro.cluster import (
-    ClusterSystem,
-    ClusterSystemConfig,
-    ClusterConfig,
-    ClusterMachine,
     NetworkModel,
     NETWORK_KINDS,
     TopologySpec,
@@ -101,10 +97,6 @@ __all__ = [
     "TraceStats",
     "compute_stats",
     "render_gantt",
-    "ClusterSystem",
-    "ClusterSystemConfig",
-    "ClusterConfig",
-    "ClusterMachine",
     "NetworkModel",
     "NETWORK_KINDS",
     "TopologySpec",

@@ -531,15 +531,10 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
 
 def _cmd_search_cluster(args: argparse.Namespace, works, levels) -> int:
     """The ``repro search cluster`` action: placement, then priorities."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterSystem,
-        ClusterSystemConfig,
-        UniformNetwork,
-    )
     from repro.core import candidate_placements, two_level_search
     from repro.errors import ConfigurationError, MappingError
     from repro.machine.mapping import ProcessMapping
+    from repro.machine.system import System, SystemConfig
     from repro.workloads.generators import distant_pairs_programs
 
     n_ranks = len(works)
@@ -553,12 +548,7 @@ def _cmd_search_cluster(args: argparse.Namespace, works, levels) -> int:
         )
 
     try:
-        system = ClusterSystem(
-            ClusterSystemConfig(
-                cluster=ClusterConfig(n_nodes=args.nodes),
-                network=UniformNetwork(),
-            )
-        )
+        system = System(SystemConfig(n_nodes=args.nodes))
         baseline = system.run(
             list(factory()),
             mapping=ProcessMapping.identity(n_ranks),

@@ -7,13 +7,12 @@ scales the simulation to many nodes:
 * :mod:`repro.cluster.topology` — network models (uniform, two-level
   switch tree), providing per-node-pair latency/bandwidth. Distant
   neighbours are one of the paper's extrinsic imbalance causes.
-* :mod:`repro.cluster.machine` — :class:`ClusterMachine`, a multi-chip
-  machine exposing the single-chip interface on global CPU ids (the MPI
-  runtime and kernel layers work unchanged), with per-chip core groups so
-  shared-cache coupling stays within a chip.
-* :mod:`repro.cluster.system` — :class:`ClusterSystem`, the multi-node
-  counterpart of :class:`repro.machine.system.System`: intra-node
-  messages use shared-memory costs, inter-node messages the topology's.
+* :mod:`repro.cluster.system` — :class:`ClusterSystem`, the plain
+  :class:`repro.machine.system.System` the engines build for multi-node
+  specs (a cluster is a ``System`` whose config has ``n_nodes > 1``:
+  intra-node messages use shared-memory costs, inter-node messages the
+  topology's). Import it from its module; this package does not, since
+  ``repro.machine.system`` imports the network models from here.
 * :mod:`repro.cluster.spec` — :class:`TopologySpec`, the frozen,
   strictly-serialisable cluster shape a v3
   :class:`~repro.scenarios.ScenarioSpec` may carry.
@@ -26,8 +25,6 @@ from repro.cluster.topology import (
     UniformNetwork,
     network_from_doc,
 )
-from repro.cluster.machine import ClusterMachine, ClusterConfig
-from repro.cluster.system import ClusterSystem, ClusterSystemConfig
 from repro.cluster.spec import TopologySpec
 
 __all__ = [
@@ -36,9 +33,5 @@ __all__ = [
     "UniformNetwork",
     "TwoLevelTree",
     "network_from_doc",
-    "ClusterMachine",
-    "ClusterConfig",
-    "ClusterSystem",
-    "ClusterSystemConfig",
     "TopologySpec",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple, Union
 
-from repro.cluster.machine import ClusterConfig
 from repro.cluster.topology import NETWORK_KINDS, NetworkModel, network_from_doc
 from repro.errors import ConfigurationError, ValidationError
 from repro.smt.chip import ChipConfig
@@ -92,10 +91,6 @@ class TopologySpec:
         doc: Dict[str, Any] = {"kind": self.network}
         doc.update(dict(self.params))
         return network_from_doc(doc)
-
-    def cluster_config(self) -> ClusterConfig:
-        """The machine shape: ``n_nodes`` default paper chips."""
-        return ClusterConfig(n_nodes=self.n_nodes)
 
     # -- serialisation ---------------------------------------------------------
 

@@ -611,8 +611,8 @@ def two_level_search(
     ``max_gap`` — the same grammar as :func:`candidate_assignments`)
     while the other nodes hold their current best; a node's winner is
     adopted only on strict improvement. ``system`` is typically a
-    :class:`~repro.cluster.system.ClusterSystem`; anything with the
-    ``System.run`` signature works. The result ranks every distinct
+    :class:`~repro.machine.system.System` with ``n_nodes > 1``; anything
+    with the ``System.run`` signature works. The result ranks every distinct
     assignment both stages scored, best first; a node stage's incumbent
     is not simulated again.
     """

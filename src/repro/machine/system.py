@@ -1,9 +1,10 @@
-"""System: the simulated IBM OpenPower 710 as one object.
+"""System: the simulated IBM OpenPower 710 — or a cluster of them — as one object.
 
-Wires a :class:`~repro.smt.chip.Power5Chip`, a kernel model
-(standard/patched), the privilege-checked priority controller, optional
-kernel-event sources (ticks, interrupts, noise) and a throughput model
-into a single entry point::
+Wires a :class:`~repro.smt.chip.Power5Chip` of ``n_nodes`` nodes, a
+kernel model (standard/patched), the privilege-checked priority
+controller, optional kernel-event sources (ticks, interrupts, noise), a
+throughput model and, on several nodes, a network model into a single
+entry point::
 
     system = System(SystemConfig(kernel="patched"))
     result = system.run(
@@ -14,6 +15,13 @@ into a single entry point::
 
 Each :meth:`System.run` builds a fresh machine (chip state, scheduler,
 runtime), so a ``System`` can run many experiments independently.
+
+On ``n_nodes > 1`` nodes one kernel image spans the machine (the
+scheduler pins by global CPU) and each run derives its rank-pair
+communication costs from node placement: intra-node pairs use the
+runtime's shared-memory costs, inter-node pairs the network's latency
+and bandwidth and ``network_eager_threshold``. A one-node machine has
+no network, so its messages take the runtime's plain costs.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import heapq
 
+from repro.cluster.topology import NetworkModel, UniformNetwork
 from repro.errors import ConfigurationError
 from repro.kernel.hmt import Actor, HmtController
 from repro.kernel.interrupts import InterruptSource, KernelEvent, TimerTickSource
@@ -30,6 +39,7 @@ from repro.kernel.kernel import KernelModel, make_kernel
 from repro.kernel.noise import NoiseConfig, make_noise_sources
 from repro.kernel.scheduler import PinnedScheduler
 from repro.machine.mapping import ProcessMapping
+from repro.mpi.p2p import CommCosts
 from repro.mpi.process import RankProgram
 from repro.mpi.runtime import MpiRuntime, RunResult, RuntimeConfig
 from repro.smt.analytic import AnalyticModelConfig, AnalyticThroughputModel
@@ -37,6 +47,7 @@ from repro.smt.chip import ChipConfig, Power5Chip
 from repro.smt.instructions import LoadProfile
 from repro.smt.throughput import ThroughputTable
 from repro.util.rng import RngStreams
+from repro.util.validation import check_positive
 
 __all__ = ["SystemConfig", "System"]
 
@@ -46,6 +57,14 @@ class SystemConfig:
     """Everything configurable about the simulated machine."""
 
     chip: ChipConfig = field(default_factory=ChipConfig)
+    #: Nodes of ``chip`` each; node ``k`` owns global CPUs
+    #: ``k * chip.n_cpus ..``.
+    n_nodes: int = 1
+    #: Latency/bandwidth between nodes (unused on one node).
+    network: NetworkModel = field(default_factory=UniformNetwork)
+    #: Eager/rendezvous switch for inter-node messages (network transports
+    #: buffer less than shared memory).
+    network_eager_threshold: int = 16384
     kernel: str = "patched"  # "standard" | "patched"
     model: str = "analytic"  # "analytic" | "cycle"
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
@@ -77,6 +96,9 @@ class SystemConfig:
                 "throughput_table_path only applies to model='cycle' "
                 f"(got model={self.model!r})"
             )
+        check_positive("n_nodes", self.n_nodes)
+        if self.network_eager_threshold < 0:
+            raise ConfigurationError("network_eager_threshold must be >= 0")
         if self.tick_hz < 0 or self.irq_rate_hz < 0:
             raise ConfigurationError("tick_hz/irq_rate_hz must be >= 0")
         for cfg in self.noise:
@@ -119,9 +141,9 @@ class System:
 
     def build_machine(self):
         """Fresh (chip, hmt, scheduler, kernel) for one run."""
-        chip = Power5Chip(self.config.chip)
+        chip = Power5Chip(self.config.chip, self.config.n_nodes)
         hmt = HmtController(chip)
-        scheduler = PinnedScheduler(chip.config.n_cpus)
+        scheduler = PinnedScheduler(chip.n_cpus)
         kernel = make_kernel(self.config.kernel, hmt, scheduler)
         return chip, hmt, scheduler, kernel
 
@@ -129,9 +151,8 @@ class System:
         cfg = self.config
         sources: List[object] = []
         if cfg.tick_hz > 0:
-            sources.append(
-                TimerTickSource(list(range(cfg.chip.n_cpus)), hz=cfg.tick_hz)
-            )
+            n_cpus = cfg.n_nodes * cfg.chip.n_cpus
+            sources.append(TimerTickSource(list(range(n_cpus)), hz=cfg.tick_hz))
         if cfg.irq_rate_hz > 0:
             sources.append(
                 InterruptSource(
@@ -184,6 +205,9 @@ class System:
                 # every rank: the balancing script's `echo N > /proc/...`.
                 self._apply_priorities(kernel, hmt, wanted)
 
+        pair_costs = None
+        if self.config.n_nodes > 1:
+            pair_costs = self._pair_costs(chip, mapping)
         runtime = MpiRuntime(
             chip=chip,
             kernel=kernel,
@@ -199,8 +223,41 @@ class System:
             label=label,
             on_start=on_start,
             controllers=controllers,
+            pair_costs=pair_costs,
         )
         return runtime.run()
+
+    def _pair_costs(self, chip: Power5Chip, mapping: ProcessMapping):
+        """Resolve the run's rank-pair transfer parameters from node
+        placement, as one rank x rank table built (and so validated) here.
+
+        Intra-node pairs use the base shared-memory costs; every pair
+        across the same two nodes shares one :class:`CommCosts` (network
+        models are symmetric in their two nodes).
+        """
+        base = self.config.runtime.comm_costs
+        network = self.config.network
+        rank_node = [chip.node_of_cpu(cpu) for _rank, cpu in mapping.rank_to_cpu]
+        links: Dict[tuple, CommCosts] = {}
+
+        def link(a: int, b: int) -> CommCosts:
+            if a == b:
+                return base
+            pair = (a, b) if a < b else (b, a)
+            costs = links.get(pair)
+            if costs is None:
+                costs = links[pair] = CommCosts(
+                    latency=base.latency + network.latency(*pair),
+                    bandwidth=min(base.bandwidth, network.bandwidth(*pair)),
+                    eager_threshold=self.config.network_eager_threshold,
+                    call_overhead=base.call_overhead,
+                )
+            return costs
+
+        # Ranks on one node share their row.
+        rows = {a: [link(a, b) for b in rank_node] for a in set(rank_node)}
+        table = [rows[a] for a in rank_node]
+        return lambda src, dst: table[src][dst]
 
     @staticmethod
     def _apply_priorities(

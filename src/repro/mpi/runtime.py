@@ -256,7 +256,7 @@ class MpiRuntime:
         if len(set(cpus)) != len(cpus):
             raise MappingError(f"mapping reuses a cpu: {mapping}")
         for cpu in cpus:
-            if not 0 <= cpu < chip.config.n_cpus:
+            if not 0 <= cpu < chip.n_cpus:
                 raise MappingError(f"cpu {cpu} out of range for this chip")
         self.mapping = dict(mapping)
 
@@ -289,16 +289,12 @@ class MpiRuntime:
         self._heap: List[Tuple[float, int, str, object]] = []
         self._kernel_events = kernel_events
         self._next_kernel: Optional[KernelEvent] = None
-        # Multi-chip machines group their cores per chip so the model's
-        # shared-L2 coupling stays within a chip; a plain Power5Chip is a
-        # single group. Rate recomputation is tracked per group: a
-        # priority write or load change on one chip only re-solves that
-        # chip's IPC.
+        # The machine groups its cores per node so the model's shared-L2
+        # coupling stays within a chip; one node is a single group. Rate
+        # recomputation is tracked per group: a priority write or load
+        # change on one chip only re-solves that chip's IPC.
         self._cores = list(chip.cores)
-        groups = getattr(chip, "core_groups", None)
-        if groups is None:
-            groups = [list(range(len(self._cores)))]
-        self._core_groups: List[List[int]] = [list(g) for g in groups]
+        self._core_groups: List[List[int]] = [list(g) for g in chip.core_groups]
         self._group_of_core: Dict[int, int] = {
             core: gi for gi, group in enumerate(self._core_groups) for core in group
         }

@@ -113,7 +113,7 @@ def default_records() -> List[Tuple[str, str, dict]]:
         # nodes joined by a two-level tree forced onto separate switches
         # (nodes_per_switch=1), so every distant-pair exchange crosses
         # the far link. Pins the whole cluster path — TopologySpec wire
-        # format, ClusterSystem cross-node costs, per-node priority
+        # format, multi-node System cross-node costs, per-node priority
         # arbitration — to exact physics.
         ScenarioSpec(
             name="cluster-distant-pairs",

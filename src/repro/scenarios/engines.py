@@ -56,12 +56,13 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.spec import TopologySpec
-from repro.cluster.system import ClusterSystem, ClusterSystemConfig
+from repro.cluster.system import ClusterSystem
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.system import System, SystemConfig
 from repro.mpi.runtime import RunResult, RuntimeConfig
 from repro.scenarios.spec import ScenarioSpec
 from repro.smt.analytic import AnalyticThroughputModel
+from repro.smt.chip import ChipConfig
 from repro.smt.instructions import BASE_PROFILES
 from repro.smt.throughput import ThroughputTable
 from repro.telemetry import CacheStats, default_registry, register_cache_metrics
@@ -105,6 +106,20 @@ def _spec_nodes(spec: ScenarioSpec) -> int:
     return spec.topology.n_nodes if spec.topology is not None else 1
 
 
+def _system_config(topology: Optional[TopologySpec], **fields) -> SystemConfig:
+    """The machine a spec's topology names (one chip without one)."""
+    if topology is not None:
+        fields.update(n_nodes=topology.n_nodes, network=topology.network_model())
+    return SystemConfig(**fields)
+
+
+def _new_system(config: SystemConfig) -> System:
+    """A :class:`System` for ``config``, built as the (identical)
+    :class:`ClusterSystem` on several nodes so per-layer traces can tell
+    multi-node runs apart."""
+    return (ClusterSystem if config.n_nodes > 1 else System)(config)
+
+
 def _observe_batch(engine: str, size: int, elapsed_s: float) -> None:
     """Publish one ``run_batch`` call into the default registry.
 
@@ -129,6 +144,9 @@ def _observe_batch(engine: str, size: int, elapsed_s: float) -> None:
 
 
 _DEFAULT_FREQ_HZ: Optional[float] = None
+
+#: Cores per node: every spec's machine is built from default chips.
+_CORES_PER_NODE = ChipConfig().n_cores
 
 
 def _default_freq_hz() -> float:
@@ -385,10 +403,9 @@ class FluidEngine(Engine):
         topology: Optional[TopologySpec] = None,
     ):
         """Per-thread warm Systems: the shared analytic model's memo
-        cache warms across runs on the same worker. Topology-bearing
-        specs get a :class:`~repro.cluster.ClusterSystem` keyed by their
-        (hashable) :class:`~repro.cluster.TopologySpec` — one warm
-        cluster per distinct shape per thread."""
+        cache warms across runs on the same worker. The key holds the
+        spec's (hashable) :class:`~repro.cluster.TopologySpec` — one warm
+        machine per distinct shape per thread."""
         cache: Optional[Dict[tuple, System]] = getattr(
             self._local, "systems", None
         )
@@ -401,16 +418,9 @@ class FluidEngine(Engine):
                 incremental_rates=incremental,
                 check_invariants=invariants,
             )
-            if topology is None:
-                system = System(SystemConfig(seed=seed, runtime=runtime))
-            else:
-                system = ClusterSystem(
-                    ClusterSystemConfig(
-                        cluster=topology.cluster_config(),
-                        network=topology.network_model(),
-                        runtime=runtime,
-                    )
-                )
+            system = _new_system(
+                _system_config(topology, seed=seed, runtime=runtime)
+            )
             cache[key] = system
             with self._systems_lock:
                 self._systems.append(system)
@@ -461,6 +471,7 @@ class CycleEngine(Engine):
                    "(ThroughputTable — the decode mechanism's ground truth)")
     option_names = ("table", "table_path")
     batch_strategy = "shared-table"
+    axes = ("priority", "mapping", "topology")
 
     #: Serialises load/construct/save of shared on-disk tables across
     #: worker threads (merge-then-save: the table only ever grows).
@@ -469,23 +480,29 @@ class CycleEngine(Engine):
     def __init__(self) -> None:
         self._local = threading.local()
 
-    def _system(self, seed: int, table_path: Optional[str]) -> System:
+    def _system(
+        self,
+        seed: int,
+        table_path: Optional[str],
+        topology: Optional[TopologySpec] = None,
+    ) -> System:
         cache: Optional[Dict[tuple, System]] = getattr(
             self._local, "systems", None
         )
         if cache is None:
             cache = self._local.systems = {}
-        key = (seed, table_path)
+        key = (seed, table_path, topology)
         system = cache.get(key)
         if system is None:
-            config = SystemConfig(
-                model="cycle", seed=seed, throughput_table_path=table_path
+            config = _system_config(
+                topology, model="cycle", seed=seed,
+                throughput_table_path=table_path,
             )
             if table_path is not None:
                 with self._table_io_lock:
-                    system = System(config)
+                    system = _new_system(config)
             else:
-                system = System(config)
+                system = _new_system(config)
             cache[key] = system
         return system
 
@@ -497,12 +514,6 @@ class CycleEngine(Engine):
         options: Optional[Mapping[str, object]] = None,
     ) -> ExecutionResult:
         opts = self._opts(options)
-        if spec.topology is not None:
-            raise ConfigurationError(
-                "the cycle engine models one chip's pipelines; "
-                f"scenario {spec.name!r} names a {spec.topology.n_nodes}-node "
-                "topology (use the fluid engine)"
-            )
         table: Optional[ThroughputTable] = opts.get("table")
         table_path: Optional[str] = opts.get("table_path")
         if table is not None and table_path is not None:
@@ -517,10 +528,12 @@ class CycleEngine(Engine):
                 # table is swapped for the (possibly shared,
                 # short-window) measurement table. Never cached — the
                 # override must not leak into later runs.
-                system = System(SystemConfig(model="cycle", seed=spec.seed))
+                system = _new_system(_system_config(
+                    spec.topology, model="cycle", seed=spec.seed
+                ))
                 system.model = table
             else:
-                system = self._system(spec.seed, table_path)
+                system = self._system(spec.seed, table_path, spec.topology)
                 persist = table_path is not None
         run = system.run(
             spec.programs(),
@@ -535,7 +548,7 @@ class CycleEngine(Engine):
                 system.model.load(table_path)
                 system.save_throughput_table()
         elapsed = time.perf_counter() - t0
-        _observe_run(self.name, elapsed)
+        _observe_run(self.name, elapsed, nodes=_spec_nodes(spec))
         return ExecutionResult.from_run(self.name, spec, run, elapsed)
 
     def run_batch(
@@ -572,7 +585,7 @@ class CycleEngine(Engine):
             systems = []
             results = []
             for spec, label in zip(specs, labels):
-                system = self._system(spec.seed, table_path)
+                system = self._system(spec.seed, table_path, spec.topology)
                 if system not in systems:
                     systems.append(system)
                 results.append(
@@ -614,68 +627,34 @@ class AnalyticEngine(Engine):
         )
 
     @staticmethod
-    def _core_states(spec: ScenarioSpec, mapping):
-        """The steady-state chip query for ``spec``: every mapped context
-        runs its profile at its static priority."""
-        prios = spec.priority_dict() or {}
-        profile = BASE_PROFILES[spec.profile]
-
-        n_cores = max(mapping.cpu_of(r) for r in range(spec.n_ranks)) // 2 + 1
-        loads: List[List[Optional[object]]] = [
-            [None, None] for _ in range(n_cores)
-        ]
-        priolist = [[4, 4] for _ in range(n_cores)]
-        for rank in range(spec.n_ranks):
-            cpu = mapping.cpu_of(rank)
-            loads[cpu // 2][cpu % 2] = profile
-            priolist[cpu // 2][cpu % 2] = prios.get(rank, 4)
-        return tuple(
-            (loads[c][0], loads[c][1], priolist[c][0], priolist[c][1])
-            for c in range(n_cores)
-        )
-
-    @staticmethod
-    def _cluster_ipcs(
+    def _steady_ipcs(
         spec: ScenarioSpec, mapping, model: AnalyticThroughputModel
-    ) -> List[Tuple[float, float]]:
-        """Per-global-core IPC pairs for a topology spec.
+    ) -> Dict[int, Tuple[float, float]]:
+        """Steady-state IPC pair per occupied global core.
 
+        Every mapped context runs its profile at its static priority.
         The coupling domain is one node's chip, so each occupied node is
-        solved as its own chip query (idle contexts at MEDIUM, exactly
-        like the runtime's per-node core groups); the results are laid
-        out flat so ``global core = global cpu // 2`` indexes them.
+        solved as a full chip query (idle contexts at MEDIUM, exactly
+        like the runtime's per-node core groups); ``global core = global
+        cpu // 2`` indexes the result.
         """
         prios = spec.priority_dict() or {}
         profile = BASE_PROFILES[spec.profile]
-        cpus_per_node = spec.topology.cpus_per_node
-        cores_per_node = cpus_per_node // 2
-
-        by_node: Dict[int, List[int]] = {}
-        cpu_prio: Dict[int, int] = {}
-        cpu_load: Dict[int, object] = {}
+        states: Dict[int, List[object]] = {}
         for rank in range(spec.n_ranks):
             cpu = mapping.cpu_of(rank)
-            cpu_prio[cpu] = prios.get(rank, 4)
-            cpu_load[cpu] = profile
-            by_node.setdefault(cpu // cpus_per_node, []).append(cpu)
-
-        ipcs: List[Tuple[float, float]] = [
-            (0.0, 0.0)
-        ] * (spec.topology.n_nodes * cores_per_node)
-        for node in sorted(by_node):
-            base = node * cpus_per_node
-            states = tuple(
-                (
-                    cpu_load.get(base + 2 * c),
-                    cpu_load.get(base + 2 * c + 1),
-                    cpu_prio.get(base + 2 * c, 4),
-                    cpu_prio.get(base + 2 * c + 1, 4),
-                )
-                for c in range(cores_per_node)
+            state = states.setdefault(cpu // 2, [None, None, 4, 4])
+            state[cpu % 2] = profile
+            state[2 + cpu % 2] = prios.get(rank, 4)
+        idle = (None, None, 4, 4)
+        ipcs: Dict[int, Tuple[float, float]] = {}
+        for node in sorted({core // _CORES_PER_NODE for core in states}):
+            first = node * _CORES_PER_NODE
+            cores = range(first, first + _CORES_PER_NODE)
+            solved = model.chip_ipc(
+                tuple(tuple(states.get(c, idle)) for c in cores)
             )
-            solved = model.chip_ipc(states)
-            for c, pair in enumerate(solved):
-                ipcs[node * cores_per_node + c] = tuple(pair)
+            ipcs.update(zip(cores, solved))
         return ipcs
 
     def run(
@@ -693,11 +672,7 @@ class AnalyticEngine(Engine):
         model: AnalyticThroughputModel = opts.get("model") or self._model
         t0 = time.perf_counter()
         mapping = spec.mapping_obj()
-        if spec.topology is not None:
-            ipcs = self._cluster_ipcs(spec, mapping, model)
-        else:
-            core_states = self._core_states(spec, mapping)
-            ipcs = model.chip_ipc(core_states)
+        ipcs = self._steady_ipcs(spec, mapping, model)
         # The closed form proper: bottleneck rank's work over its IPC.
         freq = _default_freq_hz()
         worst = 0.0

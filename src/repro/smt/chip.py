@@ -8,6 +8,11 @@ Hardware contexts are addressed two ways:
 
 :class:`Power5Chip` owns the cores and the translation between the two
 addressings; the kernel scheduler and the MPI runtime talk logical CPUs.
+A machine of several nodes is the same object with ``n_nodes`` chips'
+cores in one flat list: node ``k`` owns global CPUs
+``k * cpus_per_node ..`` and its cores form one ``core_groups`` entry,
+the domain the throughput model couples over (a shared L2 never spans
+nodes).
 """
 
 from __future__ import annotations
@@ -68,7 +73,9 @@ class ChipConfig:
 
 
 class Power5Chip:
-    """A chip of :class:`~repro.smt.core.SmtCore` instances.
+    """The :class:`~repro.smt.core.SmtCore` instances of one chip per
+    node, addressed by global logical CPU (one node, the default, is the
+    paper's machine).
 
     Examples
     --------
@@ -77,19 +84,34 @@ class Power5Chip:
     HardwareContextId(core=1, thread=1)
     >>> chip.cpu_of_context(HardwareContextId(1, 1))
     3
+    >>> Power5Chip(n_nodes=2).core_groups
+    [[0, 1], [2, 3]]
     """
 
-    def __init__(self, config: Optional[ChipConfig] = None) -> None:
+    def __init__(self, config: Optional[ChipConfig] = None, n_nodes: int = 1) -> None:
+        check_positive("n_nodes", n_nodes)
         self.config = config or ChipConfig()
-        self.cores: List[SmtCore] = [SmtCore(i) for i in range(self.config.n_cores)]
+        self.cpus_per_node = self.config.n_cpus
+        self.n_cpus = n_nodes * self.cpus_per_node
+        per_node = self.config.n_cores
+        self.cores: List[SmtCore] = [SmtCore(i) for i in range(n_nodes * per_node)]
+        #: Core indices per node: the throughput-coupling domains.
+        self.core_groups: List[List[int]] = [
+            list(range(k * per_node, (k + 1) * per_node)) for k in range(n_nodes)
+        ]
 
     # -- addressing -----------------------------------------------------------
 
     def _check_cpu(self, cpu: int) -> None:
-        if not 0 <= cpu < self.config.n_cpus:
+        if not 0 <= cpu < self.n_cpus:
             raise ConfigurationError(
-                f"cpu must be in 0..{self.config.n_cpus - 1}, got {cpu}"
+                f"cpu must be in 0..{self.n_cpus - 1}, got {cpu}"
             )
+
+    def node_of_cpu(self, cpu: int) -> int:
+        """Which node hosts global CPU ``cpu``."""
+        self._check_cpu(cpu)
+        return cpu // self.cpus_per_node
 
     def context_of_cpu(self, cpu: int) -> HardwareContextId:
         """Translate a logical CPU id to ``(core, thread)``."""
@@ -98,13 +120,13 @@ class Power5Chip:
 
     def cpu_of_context(self, ctx: HardwareContextId) -> int:
         """Translate ``(core, thread)`` to a logical CPU id."""
-        if not 0 <= ctx.core < self.config.n_cores or ctx.thread not in (0, 1):
+        if not 0 <= ctx.core < len(self.cores) or ctx.thread not in (0, 1):
             raise ConfigurationError(f"invalid context {ctx} for this chip")
         return ctx.core * 2 + ctx.thread
 
     @property
     def cpus(self) -> List[int]:
-        return list(range(self.config.n_cpus))
+        return list(range(self.n_cpus))
 
     # -- state access by logical CPU -------------------------------------------
 

@@ -1,7 +1,7 @@
 """The 1-node differential law: a single-node cluster IS the chip.
 
-A ClusterSystem with ``n_nodes=1`` must be byte-equivalent to the
-single-chip System — identical trace digest and total time under the
+A topology spec with ``n_nodes=1`` must be byte-equivalent to its
+single-chip twin — identical trace digest and total time under the
 fluid engine, identical closed-form time under the analytic engine.
 This is the oracle that keeps the cluster layer honest: any divergence
 means the network model or per-node scheduling leaked into the

@@ -1,24 +1,30 @@
-"""ClusterMachine facade."""
+"""A multi-node machine: one flat Power5Chip of several nodes."""
 
 import pytest
 
-from repro.cluster.machine import ClusterConfig, ClusterMachine
 from repro.errors import ConfigurationError
+from repro.machine.system import SystemConfig
+from repro.smt.chip import Power5Chip
 from repro.smt.instructions import BASE_PROFILES
 
 
 @pytest.fixture()
 def machine():
-    return ClusterMachine(ClusterConfig(n_nodes=3))
+    return Power5Chip(n_nodes=3)
+
+
+def node_cpus(machine, node):
+    """Global CPUs of ``node``, read off its core group."""
+    return [2 * core + t for core in machine.core_groups[node] for t in (0, 1)]
 
 
 class TestAddressing:
     def test_global_cpu_layout(self, machine):
-        assert machine.config.n_cpus == 12
+        assert machine.n_cpus == 12
         assert machine.node_of_cpu(0) == 0
         assert machine.node_of_cpu(4) == 1
         assert machine.node_of_cpu(11) == 2
-        assert machine.local_cpu(5) == 1
+        assert node_cpus(machine, 1).index(5) == 1  # node-local cpu 1
 
     def test_out_of_range(self, machine):
         with pytest.raises(ConfigurationError):
@@ -37,13 +43,13 @@ class TestAddressing:
         ids=["priority", "set_priority", "store_priority", "load", "set_load"],
     )
     def test_state_calls_reject_out_of_range_cpus(self, machine, call, cpu):
-        # -1 is the case a bare table index would silently accept.
+        # -1 is the case a bare list index would silently accept.
         with pytest.raises(ConfigurationError):
             call(machine, cpu)
-        for chip in machine.chips:
-            for local in chip.cpus:
-                assert int(chip.priority(local)) == 4
-                assert chip.load(local) is None
+        for node in range(len(machine.core_groups)):
+            for cpu_ in node_cpus(machine, node):
+                assert int(machine.priority(cpu_)) == 4
+                assert machine.load(cpu_) is None
 
     def test_core_groups_per_chip(self, machine):
         assert machine.core_groups == [[0, 1], [2, 3], [4, 5]]
@@ -54,12 +60,16 @@ class TestStateRouting:
     def test_priority_routes_to_right_chip(self, machine):
         machine.set_priority(5, 6)  # node 1, local cpu 1 -> core 0 thread 1
         assert int(machine.priority(5)) == 6
-        assert int(machine.chips[1].priority(1)) == 6
-        assert int(machine.chips[0].priority(1)) == 4  # untouched
+        node1, node0 = node_cpus(machine, 1), node_cpus(machine, 0)
+        assert int(machine.priority(node1[1])) == 6
+        assert int(machine.cores[machine.core_groups[1][0]].priority(1)) == 6
+        assert int(machine.priority(node0[1])) == 4  # untouched
 
     def test_load_routes_to_right_chip(self, machine):
         machine.set_load(8, BASE_PROFILES["hpc"])
-        assert machine.chips[2].load(0).name == "hpc"
+        first_core = machine.cores[machine.core_groups[2][0]]
+        assert first_core.load(0).name == "hpc"
+        assert machine.load(node_cpus(machine, 2)[0]).name == "hpc"
         assert machine.load(8).name == "hpc"
 
     def test_reset(self, machine):
@@ -71,4 +81,6 @@ class TestStateRouting:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ClusterConfig(n_nodes=0)
+            Power5Chip(n_nodes=0)
+        with pytest.raises(ConfigurationError):
+            SystemConfig(n_nodes=0)

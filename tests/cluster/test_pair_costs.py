@@ -1,6 +1,6 @@
 """The per-run rank-pair cost table of a multi-node run.
 
-:meth:`ClusterSystem._pair_costs` resolves every rank pair once, when a
+:meth:`System._pair_costs` resolves every rank pair once, when a
 run starts: intra-node pairs get the runtime's shared-memory costs
 object itself, and all pairs across the same two nodes share one
 network :class:`~repro.mpi.p2p.CommCosts`, constructed (and so
@@ -9,11 +9,11 @@ validated) while the table is built rather than per message.
 
 import pytest
 
-import repro.cluster.system as cluster_system
-from repro.cluster import ClusterConfig, ClusterSystem, ClusterSystemConfig
+import repro.machine.system as machine_system
 from repro.cluster.topology import NetworkModel
 from repro.errors import ConfigurationError
 from repro.machine.mapping import ProcessMapping
+from repro.machine.system import System, SystemConfig
 from repro.mpi.p2p import CommCosts
 from repro.workloads.generators import barrier_loop_programs
 
@@ -24,12 +24,12 @@ NODE = {0: 0, 1: 1, 2: 0, 3: 1}
 
 def _system(network=None):
     kwargs = {} if network is None else {"network": network}
-    return ClusterSystem(ClusterSystemConfig(cluster=ClusterConfig(n_nodes=2), **kwargs))
+    return System(SystemConfig(n_nodes=2, **kwargs))
 
 
 @pytest.fixture()
 def built(monkeypatch):
-    """Every CommCosts the cluster layer constructs from here on."""
+    """Every CommCosts the System constructs from here on."""
     made = []
 
     class CountingCosts(CommCosts):
@@ -37,7 +37,7 @@ def built(monkeypatch):
             made.append(self)
             super().__post_init__()
 
-    monkeypatch.setattr(cluster_system, "CommCosts", CountingCosts)
+    monkeypatch.setattr(machine_system, "CommCosts", CountingCosts)
     return made
 
 
@@ -47,13 +47,13 @@ def traced_run(monkeypatch, built):
     resolver)."""
     system = _system()
     resolvers = []
-    original = ClusterSystem._pair_costs
+    original = System._pair_costs
 
     def capture(self, machine, mapping):
         resolvers.append(original(self, machine, mapping))
         return resolvers[-1]
 
-    monkeypatch.setattr(ClusterSystem, "_pair_costs", capture)
+    monkeypatch.setattr(System, "_pair_costs", capture)
     result = system.run(barrier_loop_programs([1e9] * 4, iterations=2), MAPPING)
     assert result.total_time > 0
     (costs,) = resolvers

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterSystem,
-    ClusterSystemConfig,
-    TwoLevelTree,
-    UniformNetwork,
-)
+from repro.cluster import TwoLevelTree, UniformNetwork
 from repro.errors import ConfigurationError
+from repro.kernel.hmt import Actor
 from repro.machine.mapping import ProcessMapping
+from repro.machine.system import System, SystemConfig
+from repro.smt.priorities import HardwarePriority
 from repro.workloads.generators import barrier_loop_programs
 
 
@@ -32,7 +29,7 @@ def pingpong_programs(peer, rounds=10, nbytes=1 << 20):
 
 @pytest.fixture()
 def cluster():
-    return ClusterSystem(ClusterSystemConfig(cluster=ClusterConfig(n_nodes=2)))
+    return System(SystemConfig(n_nodes=2))
 
 
 class TestClusterRuns:
@@ -93,9 +90,9 @@ class TestTopologyImbalance:
     def test_far_neighbour_creates_extrinsic_imbalance(self):
         """The paper's 'network topology' extrinsic cause: identical work,
         but one rank's barrier-partner messages cross the spine."""
-        system = ClusterSystem(
-            ClusterSystemConfig(
-                cluster=ClusterConfig(n_nodes=4),
+        system = System(
+            SystemConfig(
+                n_nodes=4,
                 network=TwoLevelTree(
                     nodes_per_switch=2, far_latency=4e-3, far_bandwidth=40e6
                 ),
@@ -125,3 +122,36 @@ class TestTopologyImbalance:
             ProcessMapping.from_dict({0: 0, 1: 8}),
         ).total_time
         assert far > near * 1.2
+
+
+class TestKernelEventsOnEveryNode:
+    def test_tick_resets_a_node1_priority_on_the_standard_kernel(self):
+        """Timer ticks reach every node's CPUs: on the stock kernel a
+        tick on a node-1 CPU wipes a raised priority back to MEDIUM
+        (section VI-A), exactly as on a single chip."""
+        tick_hz, cpu = 250.0, 5  # node 1, local cpu 1
+        seen = []
+
+        class RaiseOnce:
+            interval = 0.001  # before the first tick on cpu (2.5 ms)
+
+            def on_tick(self, runtime, now):
+                if not seen:
+                    runtime.hmt.set_priority(cpu, 6, Actor.OS, time=now, via="raise")
+                    seen.append(runtime.hmt)
+
+        def prog(mpi):
+            yield mpi.compute(2e8, profile="hpc")
+
+        system = System(SystemConfig(n_nodes=2, kernel="standard", tick_hz=tick_hz))
+        system.run(
+            [prog, prog],
+            ProcessMapping.from_dict({0: 0, 1: cpu}),
+            event_horizon=1.0,
+            controllers=[RaiseOnce()],
+        )
+        writes = [w for w in seen[0].history if w.cpu == cpu]
+        raised = next(i for i, w in enumerate(writes) if w.via == "raise")
+        reset = writes[raised + 1]
+        assert (reset.priority, reset.via) == (int(HardwarePriority.MEDIUM), "kernel")
+        assert reset.time - writes[raised].time <= 1.0 / tick_hz

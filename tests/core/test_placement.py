@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterSystem, ClusterSystemConfig
 from repro.core import (
     candidate_placements,
     canonical_placement,
@@ -12,6 +11,7 @@ from repro.core import (
     two_level_search,
 )
 from repro.errors import ConfigurationError
+from repro.machine.system import System, SystemConfig
 from repro.telemetry import MetricRegistry, set_default_registry
 from repro.workloads.generators import distant_pairs_programs
 
@@ -100,9 +100,7 @@ class TestPlacementMapping:
 class TestTwoLevelSearch:
     @pytest.fixture()
     def system(self):
-        return ClusterSystem(
-            ClusterSystemConfig(cluster=ClusterConfig(n_nodes=2))
-        )
+        return System(SystemConfig(n_nodes=2))
 
     def test_pruned_and_unpruned_agree_on_the_winner(self, system):
         kwargs = dict(

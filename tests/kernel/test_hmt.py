@@ -3,7 +3,6 @@
 import numpy
 import pytest
 
-from repro.cluster.machine import ClusterConfig, ClusterMachine
 from repro.errors import ConfigurationError, InvalidPriorityError, PrivilegeError
 from repro.kernel.hmt import Actor, HmtController, PriorityWrite
 from repro.smt.chip import Power5Chip
@@ -139,11 +138,11 @@ class TestGateMatchesTableI:
 
 class TestCpuBounds:
     @pytest.mark.parametrize("make", [
-        Power5Chip, lambda: ClusterMachine(ClusterConfig(n_nodes=2)),
+        Power5Chip, lambda: Power5Chip(n_nodes=2),
     ])
     def test_out_of_range_cpu_is_a_configuration_error(self, make):
         machine = make()
-        for cpu in (-1, machine.config.n_cpus):
+        for cpu in (-1, machine.n_cpus):
             with pytest.raises(ConfigurationError):
                 machine.priority(cpu)
             with pytest.raises(ConfigurationError):
@@ -188,8 +187,10 @@ class TestIntStorage:
         assert [type(w.priority) for w in hmt.history] == [int, int]
 
     def test_cluster_machine_writes_through(self):
-        machine = ClusterMachine(ClusterConfig(n_nodes=2))
+        machine = Power5Chip(n_nodes=2)
         hmt = HmtController(machine)
         hmt.set_priority(5, 6, Actor.OS)
         assert machine.priority(5) is HardwarePriority.HIGH
-        assert machine.chips[1].priority(1) is HardwarePriority.HIGH
+        # Global CPU 5 is node 1's first core, thread 1.
+        core = machine.cores[machine.core_groups[1][0]]
+        assert core.priority(1) is HardwarePriority.HIGH

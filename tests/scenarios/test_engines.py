@@ -24,6 +24,7 @@ from repro.scenarios import (
 )
 from repro.scenarios import engines as engines_module
 from repro.scenarios import registry as registry_module
+from repro.telemetry import MetricRegistry, set_default_registry
 
 SPEC = ScenarioSpec(
     name="engine-smoke",
@@ -243,3 +244,42 @@ class TestEveryBackendAcceptsEveryDraw:
     def test_generator_draws_round_trip(self, specs):
         for spec in specs:
             assert ScenarioSpec.from_doc(spec.to_doc()) == spec
+
+
+class TestCycleEngineTopology:
+    """The cycle engine runs topology specs on a multi-node System."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return fast_cycle_table(seed=3)
+
+    def test_one_node_twin_has_the_single_chip_digest(self, table):
+        doc = SPEC.to_doc()
+        doc["topology"] = {"n_nodes": 1}
+        doc["spec_version"] = 3
+        twin = ScenarioSpec.from_doc(doc)
+        cycle = get_engine("cycle")
+        base = cycle.run(SPEC, options={"table": table})
+        clustered = cycle.run(twin, options={"table": table})
+        assert clustered.digest == base.digest
+        assert clustered.total_time == base.total_time
+
+    def test_two_node_spec_runs_and_is_labelled_by_nodes(self, table):
+        spec = ScenarioSpec(
+            name="cycle-two-nodes",
+            kind="distant_pairs",
+            works=(1.0e9, 2.0e9, 1.5e9, 2.5e9),
+            iterations=2,
+            mapping={0: 0, 1: 4, 2: 1, 3: 5},
+            topology={"n_nodes": 2},
+        )
+        registry = MetricRegistry()
+        previous = set_default_registry(registry)
+        try:
+            result = get_engine("cycle").run(spec, options={"table": table})
+        finally:
+            set_default_registry(previous)
+        assert result.total_time > 0.0
+        assert result.digest is not None
+        runs = registry.get("repro_engine_runs_total")
+        assert runs.labels("cycle", "2").value == 1.0
