@@ -75,18 +75,25 @@ class TimerTickSource:
         self.phase_stagger = phase_stagger
 
     def events(self, t_end: float, t_start: float = 0.0) -> Iterator[KernelEvent]:
-        """Ticks in ``[t_start, t_end)``, time-ordered."""
+        """Ticks in ``[t_start, t_end)``, time-ordered.
+
+        Generated on demand: each CPU's ticks are their own stream, and
+        the streams are merged by time, so a run pays only for the ticks
+        it reaches, however far ``t_end`` lies.
+        """
         period = 1.0 / self.hz
-        events: List[KernelEvent] = []
+        streams = []
         for i, cpu in enumerate(self.cpus):
             offset = (i / len(self.cpus)) * period if self.phase_stagger else 0.0
             k = max(0, int(np.ceil((t_start - offset) / period)))
-            t = offset + k * period
-            while t < t_end:
-                events.append(KernelEvent(t, cpu, self.handler_seconds, "tick"))
-                t += period
-        events.sort()
-        return iter(events)
+            streams.append(self._ticks(cpu, offset + k * period, period, t_end))
+        return heapq.merge(*streams)
+
+    def _ticks(self, cpu: int, t: float, period: float, t_end: float) -> Iterator[KernelEvent]:
+        """One CPU's ticks from ``t`` on, ``period`` apart, before ``t_end``."""
+        while t < t_end:
+            yield KernelEvent(t, cpu, self.handler_seconds, "tick")
+            t += period
 
 
 class InterruptSource:

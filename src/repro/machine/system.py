@@ -14,7 +14,11 @@ entry point::
     )
 
 Each :meth:`System.run` builds a fresh machine (chip state, scheduler,
-runtime), so a ``System`` can run many experiments independently.
+runtime), so a ``System`` can run many experiments independently. What
+depends only on the mapping — its validation, each rank's hardware slot,
+the core groups and, on several nodes, the rank-pair cost table — is
+built once per mapping as a :class:`~repro.mpi.runtime.RunLayout` and
+reused by every later run with that mapping.
 
 On ``n_nodes > 1`` nodes one kernel image spans the machine (the
 scheduler pins by global CPU) and each run derives its rank-pair
@@ -41,11 +45,12 @@ from repro.kernel.scheduler import PinnedScheduler
 from repro.machine.mapping import ProcessMapping
 from repro.mpi.p2p import CommCosts
 from repro.mpi.process import RankProgram
-from repro.mpi.runtime import MpiRuntime, RunResult, RuntimeConfig
+from repro.mpi.runtime import MpiRuntime, RunLayout, RunResult, RuntimeConfig
 from repro.smt.analytic import AnalyticModelConfig, AnalyticThroughputModel
 from repro.smt.chip import ChipConfig, Power5Chip
 from repro.smt.instructions import LoadProfile
 from repro.smt.throughput import ThroughputTable
+from repro.util.memo import LruCache
 from repro.util.rng import RngStreams
 from repro.util.validation import check_positive
 
@@ -114,9 +119,14 @@ class System:
     #: generating a fixed horizon keeps sources simple and deterministic.
     KERNEL_EVENT_HORIZON = 4000.0
 
+    #: Run layouts kept (least recently used first out): a joint search
+    #: visits a few dozen mappings.
+    LAYOUT_CACHE_SIZE = 64
+
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config or SystemConfig()
         self._streams = RngStreams(self.config.seed)
+        self._layouts: LruCache[RunLayout] = LruCache(self.LAYOUT_CACHE_SIZE)
         # The model is shared across runs so its memo cache warms up.
         if self.config.model == "analytic":
             self.model = AnalyticThroughputModel(self.config.analytic)
@@ -124,6 +134,13 @@ class System:
             self.model = ThroughputTable(seed=self.config.seed)
             if self.config.throughput_table_path:
                 self.model.load(self.config.throughput_table_path)
+
+    def __getstate__(self) -> dict:
+        # Search workers get a System without the layout cache: layouts
+        # are cheap to rebuild, and a multi-node one holds a closure.
+        state = dict(self.__dict__)
+        state["_layouts"] = LruCache(self.LAYOUT_CACHE_SIZE)
+        return state
 
     def save_throughput_table(self) -> Optional[int]:
         """Persist the cycle model's measured table to the configured path.
@@ -165,6 +182,19 @@ class System:
             return None
         return iter(heapq.merge(*(src.events(horizon) for src in sources)))
 
+    def run_layout(self, chip: Power5Chip, mapping: ProcessMapping) -> RunLayout:
+        """The :class:`RunLayout` of ``mapping`` on this machine, built
+        (and so validated) on the mapping's first run and cached; an
+        invalid mapping raises every time, as nothing is cached for it."""
+        key = mapping.rank_to_cpu
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = RunLayout(chip, mapping.as_dict())
+            if self.config.n_nodes > 1:
+                layout.pair_costs = self._pair_costs(chip, mapping)
+            self._layouts.put(key, layout)
+        return layout
+
     # -- running ------------------------------------------------------------------
 
     def run(
@@ -205,16 +235,13 @@ class System:
                 # every rank: the balancing script's `echo N > /proc/...`.
                 self._apply_priorities(kernel, hmt, wanted)
 
-        pair_costs = None
-        if self.config.n_nodes > 1:
-            pair_costs = self._pair_costs(chip, mapping)
         runtime = MpiRuntime(
             chip=chip,
             kernel=kernel,
             hmt=hmt,
             model=self.model,
             programs=programs,
-            mapping=mapping.as_dict(),
+            layout=self.run_layout(chip, mapping),
             profiles=profiles,
             config=self.config.runtime,
             kernel_events=self._kernel_event_stream(
@@ -223,7 +250,6 @@ class System:
             label=label,
             on_start=on_start,
             controllers=controllers,
-            pair_costs=pair_costs,
         )
         return runtime.run()
 
@@ -265,12 +291,14 @@ class System:
         hmt: HmtController,
         priorities: Mapping[int, int],
     ) -> None:
+        if kernel.has_hmt_procfs:
+            # echo N > /proc/<pid>/hmt_priority, at OS privilege.
+            write = kernel.procfs.set_priority_of_pid
+            for pid, prio in sorted(priorities.items()):
+                write(pid, prio, time=0.0)
+            return
         for pid, prio in sorted(priorities.items()):
-            if kernel.has_hmt_procfs:
-                # echo N > /proc/<pid>/hmt_priority, at OS privilege.
-                kernel.procfs.set_priority_of_pid(pid, prio, time=0.0)
-            else:
-                # Standard kernel: userspace can only use the or-nop path
-                # (2-4); anything else is silently impossible.
-                cpu = kernel.scheduler.cpu_of(pid)
-                hmt.try_set_priority(cpu, prio, time=0.0, via="or-nop", actor=Actor.USER)
+            # Standard kernel: userspace can only use the or-nop path
+            # (2-4); anything else is silently impossible.
+            cpu = kernel.scheduler.cpu_of(pid)
+            hmt.try_set_priority(cpu, prio, time=0.0, via="or-nop", actor=Actor.USER)

@@ -34,6 +34,7 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -82,7 +83,7 @@ from repro.trace.trace import Trace
 from repro.util.units import POWER5_FREQ_HZ
 from repro.util.validation import check_positive
 
-__all__ = ["RuntimeConfig", "RunResult", "MpiRuntime"]
+__all__ = ["RuntimeConfig", "RunResult", "RunLayout", "MpiRuntime"]
 
 
 @dataclass(frozen=True)
@@ -172,11 +173,11 @@ class _Proc:
         "released",
     )
 
-    def __init__(self, rank: int, cpu: int, gen: Generator[Op, object, None]) -> None:
+    def __init__(
+        self, rank: int, slot: Tuple[int, int, int], gen: Generator[Op, object, None]
+    ) -> None:
         self.rank = rank
-        self.cpu = cpu
-        self.core_idx = cpu // 2
-        self.thread = cpu % 2
+        self.cpu, self.core_idx, self.thread = slot
         self.gen = gen
         self.state = _PState.READY
         self.remaining = 0.0
@@ -198,6 +199,69 @@ class _Proc:
         self.released: bool = False
 
 
+class RunLayout:
+    """What a run needs from (machine, mapping) alone, validated once.
+
+    A :class:`~repro.machine.system.System` builds one per mapping the
+    first time the mapping runs and hands it to every later run with
+    that mapping, so a search's candidates that share a mapping share
+    its layout. The layout is read-only once built.
+
+    Parameters
+    ----------
+    chip:
+        Any chip of the machine the runs use: only its shape (CPU count,
+        core groups) is read, never its state.
+    mapping:
+        rank -> logical CPU; must cover ranks ``0..n-1`` with distinct
+        on-chip CPUs, else :class:`~repro.errors.MappingError`.
+
+    ``pair_costs`` starts as ``None`` (every rank pair takes the runtime's
+    ``comm_costs``); a multi-node System sets it to the mapping's
+    rank-pair resolver ``(src, dst) -> CommCosts`` before the first run.
+    """
+
+    __slots__ = ("mapping", "slots", "n_cpus", "core_groups", "group_spans",
+                 "group_of_core", "world", "pair_costs")
+
+    def __init__(self, chip: Power5Chip, mapping: Mapping[int, int]) -> None:
+        ranks = sorted(mapping)
+        if ranks != list(range(len(ranks))):
+            raise MappingError(
+                f"mapping must cover ranks 0..{len(ranks) - 1}, got {ranks}"
+            )
+        cpus = [mapping[rank] for rank in ranks]
+        if len(set(cpus)) != len(cpus):
+            raise MappingError(f"mapping reuses a cpu: {dict(mapping)}")
+        for cpu in cpus:
+            if not 0 <= cpu < chip.n_cpus:
+                raise MappingError(f"cpu {cpu} out of range for this chip")
+        #: The validated rank -> CPU mapping (a read-only view).
+        self.mapping: Mapping[int, int] = MappingProxyType(dict(zip(ranks, cpus)))
+        #: Per rank, its ``(cpu, core, thread)`` hardware slot.
+        self.slots: Tuple[Tuple[int, int, int], ...] = tuple(
+            (cpu, cpu // 2, cpu % 2) for cpu in cpus
+        )
+        self.n_cpus = chip.n_cpus
+        # The machine groups its cores per node so the model's shared-L2
+        # coupling stays within a chip; one node is a single group.
+        self.core_groups: List[List[int]] = [list(g) for g in chip.core_groups]
+        #: Each group's cores as a slice of the chip's core list (a node
+        #: owns a contiguous run of cores).
+        self.group_spans: List[slice] = [slice(g[0], g[-1] + 1) for g in self.core_groups]
+        self.group_of_core: Dict[int, int] = {
+            core: gi for gi, group in enumerate(self.core_groups) for core in group
+        }
+        #: ``MPI_COMM_WORLD`` over the mapping's ranks (immutable, so runs
+        #: share it; each run keeps its own collective state).
+        self.world = Communicator.world(len(ranks))
+        self.pair_costs = None
+
+    @property
+    def n_ranks(self) -> int:
+        return len(self.slots)
+
+
 class MpiRuntime:
     """Coordinator of rank programs over the simulated machine.
 
@@ -212,8 +276,9 @@ class MpiRuntime:
         :class:`~repro.smt.throughput.ThroughputTable`.
     programs:
         One generator function per rank.
-    mapping:
-        rank -> logical CPU. Must be injective.
+    layout:
+        The :class:`RunLayout` of this machine and rank -> CPU mapping;
+        it must cover exactly the programs' ranks.
     profiles:
         Name -> :class:`LoadProfile` registry; defaults to
         ``BASE_PROFILES`` and is augmented, not replaced, by the caller's
@@ -230,14 +295,13 @@ class MpiRuntime:
         hmt: HmtController,
         model,
         programs: Sequence[RankProgram],
-        mapping: Mapping[int, int],
+        layout: RunLayout,
         profiles: Optional[Mapping[str, LoadProfile]] = None,
         config: Optional[RuntimeConfig] = None,
         kernel_events: Optional[Iterator[KernelEvent]] = None,
         label: str = "",
         on_start=None,
         controllers: Optional[Sequence] = None,
-        pair_costs=None,
     ) -> None:
         self.chip = chip
         self.kernel = kernel
@@ -248,17 +312,16 @@ class MpiRuntime:
         self.n_ranks = len(programs)
         if self.n_ranks == 0:
             raise ConfigurationError("need at least one rank program")
-        if sorted(mapping) != list(range(self.n_ranks)):
+        if layout.n_ranks != self.n_ranks:
             raise MappingError(
-                f"mapping must cover ranks 0..{self.n_ranks - 1}, got {sorted(mapping)}"
+                f"mapping must cover ranks 0..{self.n_ranks - 1}, "
+                f"got {list(layout.mapping)}"
             )
-        cpus = list(mapping.values())
-        if len(set(cpus)) != len(cpus):
-            raise MappingError(f"mapping reuses a cpu: {mapping}")
-        for cpu in cpus:
-            if not 0 <= cpu < chip.n_cpus:
-                raise MappingError(f"cpu {cpu} out of range for this chip")
-        self.mapping = dict(mapping)
+        if layout.n_cpus != chip.n_cpus:
+            raise MappingError(
+                f"layout is for {layout.n_cpus} cpus, the chip has {chip.n_cpus}"
+            )
+        self.mapping = layout.mapping
 
         self.profiles: Dict[str, LoadProfile] = dict(BASE_PROFILES)
         if profiles:
@@ -267,20 +330,21 @@ class MpiRuntime:
             if key not in self.profiles:
                 raise ConfigurationError(f"unknown runtime profile {key!r}")
 
-        self.world = Communicator.world(self.n_ranks)
+        self.world = layout.world
         self.engine = MessageEngine(
-            self.n_ranks, self.config.comm_costs, pair_costs=pair_costs
+            self.n_ranks, self.config.comm_costs, pair_costs=layout.pair_costs
         )
         self.collectives = CollectiveManager(
-            self.config.comm_costs, pair_costs=pair_costs
+            self.config.comm_costs, pair_costs=layout.pair_costs
         )
         self.trace = Trace(self.n_ranks, label=label)
 
         self._procs: List[_Proc] = []
-        for rank, prog in enumerate(programs):
-            api = RankApi(rank, self.n_ranks)
-            proc = _Proc(rank, self.mapping[rank], prog(api))
-            proc.timeline = self.trace[rank]
+        for rank, (prog, slot, timeline) in enumerate(
+            zip(programs, layout.slots, self.trace)
+        ):
+            proc = _Proc(rank, slot, prog(RankApi(rank, self.n_ranks)))
+            proc.timeline = timeline
             self._procs.append(proc)
         self._by_request: Dict[int, _Proc] = {}
 
@@ -289,18 +353,24 @@ class MpiRuntime:
         self._heap: List[Tuple[float, int, str, object]] = []
         self._kernel_events = kernel_events
         self._next_kernel: Optional[KernelEvent] = None
-        # The machine groups its cores per node so the model's shared-L2
-        # coupling stays within a chip; one node is a single group. Rate
-        # recomputation is tracked per group: a priority write or load
-        # change on one chip only re-solves that chip's IPC.
-        self._cores = list(chip.cores)
-        self._core_groups: List[List[int]] = [list(g) for g in chip.core_groups]
-        self._group_of_core: Dict[int, int] = {
-            core: gi for gi, group in enumerate(self._core_groups) for core in group
-        }
+        # Rate recomputation is tracked per core group (per node): a
+        # priority write or load change on one chip only re-solves that
+        # chip's IPC.
+        self._cores = chip.cores
+        self._core_groups = layout.core_groups
+        self._group_spans = layout.group_spans
+        self._group_of_core = layout.group_of_core
         self._dirty_groups: Set[int] = set(range(len(self._core_groups)))
+        #: Per core, its chip-memo state ``(load_a, load_b, prio_a,
+        #: prio_b)`` and the same with loads by name, rebuilt at a
+        #: re-solve only for the cores changed since the last one.
+        n_cores = len(self._cores)
+        self._core_states: List[tuple] = [()] * n_cores
+        self._core_names: List[tuple] = [()] * n_cores
+        self._stale_cores: Set[int] = set(range(n_cores))
         self._incremental = bool(self.config.incremental_rates)
-        self._ipc_by_core: Dict[int, Tuple[float, float]] = {}
+        #: Per core, its threads' IPCs from the latest re-solve.
+        self._ipc_by_core: List[Tuple[float, float]] = [()] * n_cores
         #: Per-run memo of a group's name key -> chip_ipc result. The
         #: model's chip cache takes the same key and persists across runs.
         self._group_ipc_memo: Dict[tuple, tuple] = {}
@@ -368,10 +438,12 @@ class MpiRuntime:
 
     def _mark_all_dirty(self) -> None:
         self._dirty_groups.update(range(len(self._core_groups)))
+        self._stale_cores.update(range(len(self._cores)))
 
     def _mark_dirty_cpu(self, cpu: int) -> None:
         if self._incremental:
             self._dirty_groups.add(self._group_of_core[cpu // 2])
+            self._stale_cores.add(cpu // 2)
         else:
             self._mark_all_dirty()
 
@@ -386,6 +458,7 @@ class MpiRuntime:
         core._loads[proc.thread] = profile
         if self._incremental:
             self._dirty_groups.add(self._group_of_core[proc.core_idx])
+            self._stale_cores.add(proc.core_idx)
         else:
             self._mark_all_dirty()
 
@@ -396,27 +469,27 @@ class MpiRuntime:
 
     def _recompute_rates(self) -> None:
         cores = self._cores
+        states = self._core_states
+        names = self._core_names
+        for i in self._stale_cores:
+            load_a, load_b = cores[i]._loads
+            prio_a, prio_b = cores[i]._priorities
+            states[i] = (load_a, load_b, prio_a, prio_b)
+            names[i] = (load_a.name if load_a else None,
+                        load_b.name if load_b else None, prio_a, prio_b)
+        self._stale_cores.clear()
         ipc_by_core = self._ipc_by_core
         dirty = self._dirty_groups
         memo = self._group_ipc_memo
         for gi in sorted(dirty) if len(dirty) > 1 else tuple(dirty):
-            group = self._core_groups[gi]
+            span = self._group_spans[gi]
             # One key per re-solve, per core ``(name_a, name_b, prio_a,
             # prio_b)``: it keys this run's memo and the model's chip memo.
-            states = []
-            names = []
-            for i in group:
-                load_a, load_b = cores[i]._loads
-                prio_a, prio_b = cores[i]._priorities
-                states.append((load_a, load_b, prio_a, prio_b))
-                names.append((load_a.name if load_a else None,
-                              load_b.name if load_b else None, prio_a, prio_b))
-            key = tuple(names)
+            key = tuple(names[span])
             ipcs = memo.get(key)
             if ipcs is None:
-                ipcs = memo[key] = self.model.chip_ipc(tuple(states), key)
-            for i, pair in zip(group, ipcs):
-                ipc_by_core[i] = pair
+                ipcs = memo[key] = self.model.chip_ipc(tuple(states[span]), key)
+            ipc_by_core[span] = ipcs
             self.group_recompute_counts[gi] += 1
         dirty.clear()
         freq = self.chip.config.freq_hz
@@ -736,9 +809,11 @@ class MpiRuntime:
         telemetry = self._telemetry
         t_run0 = _time.perf_counter() if telemetry is not None else 0.0
         # Process launch: pin + default priorities.
+        pin = self.kernel.scheduler.pin
+        on_process_start = self.kernel.on_process_start
         for proc in self._procs:
-            self.kernel.scheduler.pin(proc.rank, proc.cpu)
-            self.kernel.on_process_start(proc.rank, proc.cpu, 0.0)
+            pin(proc.rank, proc.cpu)
+            on_process_start(proc.rank, proc.cpu, 0.0)
         if self._on_start is not None:
             self._on_start(self)
         for i, ctrl in enumerate(self._controllers):
@@ -752,11 +827,14 @@ class MpiRuntime:
         eps = cfg.epsilon
         max_events = cfg.max_events
         time_limit = cfg.time_limit
+        n_ranks = self.n_ranks
         procs = self._procs
         heap = self._heap
+        dirty_groups = self._dirty_groups
         computing_state = _PState.COMPUTING
         oracle = self._oracle
-        while self._finished < self.n_ranks:
+        inf = math.inf
+        while self._finished < n_ranks:
             if self.events_processed > max_events:
                 raise SimulationError(
                     f"exceeded max_events={max_events} at t={self.now}"
@@ -764,29 +842,33 @@ class MpiRuntime:
             # Only computing ranks read their rates, so dirty groups wait
             # for a step in which some rank computes.
             computing = [p for p in procs if p.state is computing_state]
-            if computing and self._dirty_groups:
+            if computing and dirty_groups:
                 self._recompute_rates()
                 if oracle is not None:
                     oracle.on_rates()
 
-            t_next = math.inf
-            if heap:
-                t_next = heap[0][0]
+            # The next instant: the earliest event or compute completion
+            # (a strict ``<`` keeps what ``min`` keeps on a tie).
+            now = self.now
+            t_next = heap[0][0] if heap else inf
             if self._next_kernel is not None or self._kernel_events is not None:
                 kernel_ev = self._peek_kernel()
-                if kernel_ev is not None:
-                    t_next = min(t_next, kernel_ev.time)
+                if kernel_ev is not None and kernel_ev.time < t_next:
+                    t_next = kernel_ev.time
             for proc in computing:
                 rate = proc.rate
                 if rate > 0.0:
-                    t_next = min(t_next, self.now + proc.remaining / rate)
-            if math.isinf(t_next):
+                    done_at = now + proc.remaining / rate
+                    if done_at < t_next:
+                        t_next = done_at
+            if t_next == inf:
                 raise DeadlockError(
-                    f"t={self.now:.6f}s: no runnable rank and no pending event. "
+                    f"t={now:.6f}s: no runnable rank and no pending event. "
                     f"p2p: {self.engine.pending_summary()}; "
                     f"collectives: {self.collectives.pending_summary()}"
                 )
-            t_next = max(t_next, self.now)
+            if now > t_next:
+                t_next = now
             if t_next > time_limit:
                 raise SimulationError(
                     f"exceeded time_limit={time_limit}s "
@@ -794,7 +876,7 @@ class MpiRuntime:
                 )
 
             # Advance fluid work.
-            dt = t_next - self.now
+            dt = t_next - now
             if dt > 0:
                 for proc in computing:
                     remaining = proc.remaining - proc.rate * dt
@@ -802,9 +884,10 @@ class MpiRuntime:
             self.now = t_next
             if oracle is not None:
                 oracle.on_advance()
+            due = t_next + eps
 
             # Fire due heap events.
-            while heap and heap[0][0] <= self.now + eps:
+            while heap and heap[0][0] <= due:
                 _, _, kind, payload = heapq.heappop(heap)
                 self.events_processed += 1
                 if kind == "req":
@@ -828,7 +911,7 @@ class MpiRuntime:
             # Fire due kernel events.
             while self._next_kernel is not None or self._kernel_events is not None:
                 kernel_ev = self._peek_kernel()
-                if kernel_ev is None or kernel_ev.time > self.now + eps:
+                if kernel_ev is None or kernel_ev.time > due:
                     break
                 self._next_kernel = None
                 self.events_processed += 1
@@ -855,7 +938,10 @@ class MpiRuntime:
             total_time=self.now,
             events_processed=self.events_processed,
             priority_history_len=len(self.hmt.history),
-            final_priorities=tuple(int(p) for p in self.hmt.priorities()),
+            # By CPU: core ``i``'s contexts are CPUs ``2i`` and ``2i + 1``.
+            final_priorities=tuple(
+                [prio for core in self._cores for prio in core._priorities]
+            ),
         )
         if oracle is not None:
             oracle.on_finish(result)

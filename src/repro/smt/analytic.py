@@ -175,6 +175,10 @@ class AnalyticThroughputModel:
         )
         self._share_cache: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._consts: Dict[str, _ProfileConsts] = {}
+        #: Core state -> (consts a, consts b, memory fraction a, L1 miss
+        #: rate a, the same for b; 0.0 for an idle context): what a chip
+        #: memo miss needs per core, fetched once per state.
+        self._core_terms: Dict[tuple, tuple] = {}
         # Ops/cycle capacity per physical unit group (LSU shared by LD/ST).
         fu_caps: Dict[str, float] = {}
         for cls, spec in self.fu_specs.items():
@@ -287,27 +291,19 @@ class AnalyticThroughputModel:
 
         ``external_traffic`` is off-L1 accesses/cycle arriving from the
         *other* core (cross-core L2/L3 contention); see :meth:`chip_ipc`.
+        The core memo keys ``(load_a, load_b, prio_a, prio_b)``, loads by
+        profile name, together with the exact traffic.
         """
         (state,) = _chip_key(((profile_a, profile_b, prio_a, prio_b),))
-        consts = self._profile_consts
-        return self._core_lookup(
-            state, consts(profile_a), consts(profile_b), float(external_traffic)
-        )
-
-    def _core_lookup(
-        self,
-        state: tuple,
-        c_a: Optional[_ProfileConsts],
-        c_b: Optional[_ProfileConsts],
-        external_traffic: float,
-    ) -> Tuple[float, float]:
-        """The core memo: ``state`` is ``(load_a, load_b, prio_a, prio_b)``
-        by profile name, keyed together with the exact traffic."""
+        external_traffic = float(external_traffic)
         key = state + (external_traffic,)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        result = self._solve(c_a, c_b, state[2], state[3], external_traffic)
+        consts = self._profile_consts
+        result = self._solve(
+            consts(profile_a), consts(profile_b), state[2], state[3], external_traffic
+        )
         self._cache.put(key, result)
         return result
 
@@ -440,36 +436,78 @@ class AnalyticThroughputModel:
         runtime's rate recomputation usually resolves to one lookup. On a
         miss, each core's entry of that key is its core-memo state. A
         caller holding that key (the MPI runtime) passes it as ``key``.
+
+        A miss makes three sweeps of core-memo lookups (isolated, then
+        two coupled), in core order; each looks up, and on a miss solves
+        and inserts, exactly as :meth:`core_ipc` would, so the memo's
+        hit/miss counts and LRU order are the same as through it.
         """
         if key is None:
             key = _chip_key(core_states)
-        hit = self._chip_cache.get(key)
+        chip_cache = self._chip_cache
+        hit = chip_cache.get(key)
         if hit is not None:
             return hit
-        consts = self._profile_consts
-        cores = [
-            (state, consts(pa), consts(pb))
-            for state, (pa, pb, _xa, _xb) in zip(key, core_states)
-        ]
-        lookup = self._core_lookup
-        results = [lookup(state, c_a, c_b, 0.0) for state, c_a, c_b in cores]
-        for _ in range(2):
-            traffics = []
-            for (_state, c_a, c_b), (ia, ib) in zip(cores, results):
-                t = 0.0
-                if c_a is not None:
-                    t += ia * c_a.mem_frac * c_a.l1_miss
-                if c_b is not None:
-                    t += ib * c_b.mem_frac * c_b.l1_miss
-                traffics.append(t)
-            total = sum(traffics)
-            results = [
-                lookup(state, c_a, c_b, total - t)
-                for (state, c_a, c_b), t in zip(cores, traffics)
+        terms = self._core_terms
+        cores = [terms.get(state) for state in key]
+        if None in cores:
+            cores = [
+                found or self._terms_of(state, pa, pb)
+                for found, state, (pa, pb, _xa, _xb) in zip(cores, key, core_states)
             ]
+        # The core memo's get, inlined: the same lookups, recency moves
+        # and counts as LruCache.get; inserts go through its put.
+        core_cache = self._cache
+        data = core_cache._data
+        get = data.get
+        move_to_end = data.move_to_end
+        put = core_cache.put
+        solve = self._solve
+        hits = misses = 0
+        externals = [0.0] * len(cores)
+        results = []
+        for sweep in range(3):
+            if sweep:
+                # Cores couple through each other's off-L1 traffic (an
+                # idle context's terms are 0.0, and so is its IPC).
+                traffics = [
+                    ia * mf_a * l1_a + ib * mf_b * l1_b
+                    for (ia, ib), (_ca, _cb, mf_a, l1_a, mf_b, l1_b) in zip(results, cores)
+                ]
+                total = sum(traffics)
+                externals = [total - t for t in traffics]
+            results = []
+            for state, core, external in zip(key, cores, externals):
+                core_key = state + (external,)
+                ipcs = get(core_key)
+                if ipcs is None:
+                    misses += 1
+                    ipcs = solve(core[0], core[1], state[2], state[3], external)
+                    put(core_key, ipcs)
+                else:
+                    hits += 1
+                    move_to_end(core_key)
+                results.append(ipcs)
+        core_cache.hits += hits
+        core_cache.misses += misses
         out = tuple(results)
-        self._chip_cache.put(key, out)
+        chip_cache.put(key, out)
         return out
+
+    def _terms_of(
+        self, state: tuple, pa: Optional[LoadProfile], pb: Optional[LoadProfile]
+    ) -> tuple:
+        """Build and keep ``state``'s entry of the per-core terms."""
+        c_a = self._profile_consts(pa)
+        c_b = self._profile_consts(pb)
+        found = self._core_terms[state] = (
+            c_a, c_b,
+            c_a.mem_frac if c_a is not None else 0.0,
+            c_a.l1_miss if c_a is not None else 0.0,
+            c_b.mem_frac if c_b is not None else 0.0,
+            c_b.l1_miss if c_b is not None else 0.0,
+        )
+        return found
 
     def chip_ipc_stack(self, chip_states):
         """:meth:`chip_ipc` over a sequence of ``core_states`` tuples.
@@ -491,4 +529,5 @@ class AnalyticThroughputModel:
         self._cache.clear()
         self._chip_cache.clear()
         self._consts.clear()
+        self._core_terms.clear()
         self._share_cache.clear()

@@ -140,7 +140,8 @@ class Power5Chip:
 
     def store_priority(self, cpu: int, priority: int) -> None:
         """Store a plain-int level the HMT gate already validated."""
-        self._check_cpu(cpu)
+        if not 0 <= cpu < self.n_cpus:
+            self._check_cpu(cpu)  # raises
         self.cores[cpu // 2]._priorities[cpu % 2] = priority
 
     def load(self, cpu: int) -> Optional[LoadProfile]:

@@ -15,6 +15,8 @@ from repro.errors import TraceError
 
 __all__ = ["RankState", "StateInterval"]
 
+_new = object.__new__
+
 
 class RankState(enum.Enum):
     """What a rank is doing during an interval."""
@@ -69,6 +71,18 @@ class StateInterval:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise TraceError(f"interval ends before it starts: {self}")
+
+    @classmethod
+    def _trusted(cls, start: float, end: float, state: RankState) -> "StateInterval":
+        """An interval whose ``start <= end`` the caller has already
+        proved, built without the frozen ``__init__`` and its check (a
+        timeline closes one per state change)."""
+        interval = _new(cls)
+        fields = interval.__dict__
+        fields["start"] = start
+        fields["end"] = end
+        fields["state"] = state
+        return interval
 
     @property
     def duration(self) -> float:

@@ -24,6 +24,12 @@ __all__ = ["RANK_FRACTIONS", "RankStats", "TraceStats", "compute_stats"]
 #: lists them; ``RankStats`` holds each as ``<state>_fraction``.
 RANK_FRACTIONS: Tuple[str, ...] = ("compute", "sync", "comm", "noise", "idle")
 
+_new = object.__new__
+_COMPUTE, _INIT, _FINAL = RankState.COMPUTE, RankState.INIT, RankState.FINAL
+_SYNC, _COMM, _NOISE, _IDLE = (
+    RankState.SYNC, RankState.COMM, RankState.NOISE, RankState.IDLE
+)
+
 
 @dataclass(frozen=True)
 class RankStats:
@@ -35,6 +41,23 @@ class RankStats:
     comm_fraction: float
     noise_fraction: float
     idle_fraction: float
+
+    @classmethod
+    def _trusted(
+        cls, rank: int, compute: float, sync: float, comm: float, noise: float,
+        idle: float,
+    ) -> "RankStats":
+        """The same record, built without the frozen ``__init__``'s
+        per-field ``object.__setattr__`` (one per rank per run)."""
+        stats = _new(cls)
+        fields = stats.__dict__
+        fields["rank"] = rank
+        fields["compute_fraction"] = compute
+        fields["sync_fraction"] = sync
+        fields["comm_fraction"] = comm
+        fields["noise_fraction"] = noise
+        fields["idle_fraction"] = idle
+        return stats
 
     def fractions(self) -> Dict[str, float]:
         """``{state: fraction}`` over :data:`RANK_FRACTIONS`, in order."""
@@ -140,21 +163,17 @@ def compute_stats(trace: Trace, window: Optional[Tuple[float, float]] = None) ->
             totals = {}
             for iv in tl.clipped(t0, t1):
                 totals[iv.state] = totals.get(iv.state, 0.0) + iv.duration
+        get = totals.get
         accounted = sum(totals.values())
-        compute = (
-            totals.get(RankState.COMPUTE, 0.0)
-            + totals.get(RankState.INIT, 0.0)
-            + totals.get(RankState.FINAL, 0.0)
-        )
+        compute = get(_COMPUTE, 0.0) + get(_INIT, 0.0) + get(_FINAL, 0.0)
         per_rank.append(
-            RankStats(
-                rank=tl.rank,
-                compute_fraction=compute / span,
-                sync_fraction=totals.get(RankState.SYNC, 0.0) / span,
-                comm_fraction=totals.get(RankState.COMM, 0.0) / span,
-                noise_fraction=totals.get(RankState.NOISE, 0.0) / span,
-                idle_fraction=(totals.get(RankState.IDLE, 0.0) + (span - accounted))
-                / span,
+            RankStats._trusted(
+                tl.rank,
+                compute / span,
+                get(_SYNC, 0.0) / span,
+                get(_COMM, 0.0) / span,
+                get(_NOISE, 0.0) / span,
+                (get(_IDLE, 0.0) + (span - accounted)) / span,
             )
         )
     return TraceStats(total_time=span, ranks=tuple(per_rank))

@@ -63,7 +63,9 @@ class RankTimeline:
                 )
             if time > self._open_since:
                 closing = self._open_state
-                self.intervals.append(StateInterval(self._open_since, time, closing))
+                self.intervals.append(
+                    StateInterval._trusted(self._open_since, time, closing)
+                )
                 totals = self.totals
                 totals[closing] = totals.get(closing, 0.0) + (time - self._open_since)
         self._open_state = state
@@ -149,7 +151,8 @@ class Trace:
             raise TraceError(f"no rank {rank} in trace (n_ranks={self.n_ranks})") from None
 
     def __iter__(self) -> Iterable[RankTimeline]:
-        return iter(self.timelines[r] for r in sorted(self.timelines))
+        # Built in rank order and never extended.
+        return iter(self.timelines.values())
 
     def transition(self, rank: int, time: float, state: Optional[RankState]) -> None:
         """Record a state transition for ``rank``."""

@@ -1,8 +1,11 @@
 """Interrupt and tick event sources."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import repro.kernel.interrupts as interrupts
 from repro.errors import ConfigurationError
 from repro.kernel.interrupts import (
     InterruptSource,
@@ -10,6 +13,23 @@ from repro.kernel.interrupts import (
     TimerTickSource,
     merge_sources,
 )
+from repro.machine.system import System, SystemConfig
+
+
+def _eager_ticks(src, t_end, t_start=0.0):
+    """Every tick built into one list and sorted: how ticks were generated
+    before they became lazy, kept as the reference."""
+    period = 1.0 / src.hz
+    events = []
+    for i, cpu in enumerate(src.cpus):
+        offset = (i / len(src.cpus)) * period if src.phase_stagger else 0.0
+        k = max(0, int(np.ceil((t_start - offset) / period)))
+        t = offset + k * period
+        while t < t_end:
+            events.append(KernelEvent(t, cpu, src.handler_seconds, "tick"))
+            t += period
+    events.sort()
+    return events
 
 
 class TestKernelEvent:
@@ -55,6 +75,37 @@ class TestTimerTicks:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TimerTickSource([], hz=10.0)
+
+
+class TestLazyTicks:
+    @pytest.mark.parametrize("stagger", [True, False])
+    @pytest.mark.parametrize("t_start", [0.0, 0.0137, 0.5])
+    def test_same_events_in_the_same_order_as_the_eager_list(self, stagger, t_start):
+        src = TimerTickSource([0, 1, 2, 3, 4, 5, 6, 7], hz=1000.0, phase_stagger=stagger)
+        lazy = list(src.events(0.75, t_start=t_start))
+        eager = _eager_ticks(src, 0.75, t_start=t_start)
+        assert len(lazy) == len(eager) > 0
+        assert [(e.time, e.cpu, e.duration, e.kind) for e in lazy] == [
+            (e.time, e.cpu, e.duration, e.kind) for e in eager
+        ]
+
+    def test_two_node_stream_starts_without_building_the_horizon(self, monkeypatch):
+        made = []
+
+        class CountingEvent(KernelEvent):
+            def __post_init__(self):
+                made.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(interrupts, "KernelEvent", CountingEvent)
+        system = System(SystemConfig(n_nodes=2, tick_hz=1000.0))
+        stream = system._kernel_event_stream(System.KERNEL_EVENT_HORIZON)
+        first = list(itertools.islice(stream, 16))
+        assert [e.time for e in first] == sorted(e.time for e in first)
+        assert {e.cpu for e in first} == set(range(8))
+        # One pending tick per CPU beyond those taken, against 32 M
+        # ticks up to the 4000 s horizon.
+        assert len(made) <= len(first) + 8
 
 
 class TestInterruptSource:

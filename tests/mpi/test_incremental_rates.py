@@ -9,7 +9,7 @@ re-solve of chip 1.
 
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
-from repro.mpi.runtime import MpiRuntime, RuntimeConfig
+from repro.mpi.runtime import MpiRuntime, RunLayout, RuntimeConfig
 from repro.smt.analytic import AnalyticThroughputModel
 from repro.workloads.generators import barrier_loop_programs
 
@@ -66,7 +66,7 @@ def _cluster_runtime():
         hmt=hmt,
         model=AnalyticThroughputModel(),
         programs=barrier_loop_programs([1e9] * 8, iterations=1),
-        mapping=ProcessMapping.identity(8).as_dict(),
+        layout=RunLayout(machine, ProcessMapping.identity(8).as_dict()),
     )
     return runtime, machine
 

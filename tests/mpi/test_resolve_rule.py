@@ -16,7 +16,7 @@ import pytest
 
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
-from repro.mpi.runtime import MpiRuntime, RuntimeConfig
+from repro.mpi.runtime import MpiRuntime, RunLayout, RuntimeConfig
 from repro.policies.corpus import tournament_corpus
 from repro.scenarios.engines import CycleEngine, FluidEngine
 from repro.scenarios.generator import ScenarioGenerator
@@ -56,7 +56,7 @@ class TestSkippedResolves:
             programs=barrier_loop_programs(
                 [1e9, 2e9, 1.5e9, 3e9, 2.5e9], iterations=1
             ),
-            mapping=ProcessMapping.identity(5).as_dict(),
+            layout=RunLayout(chip, ProcessMapping.identity(5).as_dict()),
         )
         result = runtime.run()
         assert runtime.group_recompute_counts == [5]
