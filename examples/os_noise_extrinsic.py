@@ -50,6 +50,8 @@ table.add_row([
 ])
 
 # Compensate: give the afflicted rank more of its core's decode slots.
+# Every run draws the daemon's wakeups afresh from the seed, so this run
+# meets the same noise as the one above.
 fixed = noisy_system.run(programs(), mapping, priorities={0: 5, 1: 4, 2: 4, 3: 4})
 table.add_row([
     "daemon + P1 boosted to 5",

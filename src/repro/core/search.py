@@ -215,7 +215,7 @@ def _evaluate_candidate(payload) -> Tuple[float, float]:
         list(program_factory()),
         mapping=assignment.mapping,
         priorities=assignment.priority_dict,
-        label=assignment.describe(),
+        label="search.candidate",
     )
     return result.total_time, result.imbalance_percent
 

@@ -16,8 +16,8 @@ annoyance problem" the paper cites) can be routed entirely to CPU0.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,24 +74,25 @@ class TimerTickSource:
         self.handler_seconds = float(handler_seconds)
         self.phase_stagger = phase_stagger
 
-    def events(self, t_end: float, t_start: float = 0.0) -> Iterator[KernelEvent]:
-        """Ticks in ``[t_start, t_end)``, time-ordered.
+    def events(self) -> Iterator[KernelEvent]:
+        """Every CPU's ticks from t=0 on, time-ordered, without end.
 
         Generated on demand: each CPU's ticks are their own stream, and
         the streams are merged by time, so a run pays only for the ticks
-        it reaches, however far ``t_end`` lies.
+        it reaches.
         """
         period = 1.0 / self.hz
-        streams = []
-        for i, cpu in enumerate(self.cpus):
-            offset = (i / len(self.cpus)) * period if self.phase_stagger else 0.0
-            k = max(0, int(np.ceil((t_start - offset) / period)))
-            streams.append(self._ticks(cpu, offset + k * period, period, t_end))
-        return heapq.merge(*streams)
+        n = len(self.cpus)
+        return heapq.merge(
+            *(
+                self._ticks(cpu, (i / n) * period if self.phase_stagger else 0.0, period)
+                for i, cpu in enumerate(self.cpus)
+            )
+        )
 
-    def _ticks(self, cpu: int, t: float, period: float, t_end: float) -> Iterator[KernelEvent]:
-        """One CPU's ticks from ``t`` on, ``period`` apart, before ``t_end``."""
-        while t < t_end:
+    def _ticks(self, cpu: int, t: float, period: float) -> Iterator[KernelEvent]:
+        """One CPU's ticks from ``t`` on, ``period`` apart."""
+        while True:
             yield KernelEvent(t, cpu, self.handler_seconds, "tick")
             t += period
 
@@ -119,23 +120,16 @@ class InterruptSource:
         self.handler_seconds = float(handler_seconds)
         self.cpu = cpu
 
-    def events(self, t_end: float, t_start: float = 0.0) -> Iterator[KernelEvent]:
-        """Arrivals in ``[t_start, t_end)``, time-ordered."""
+    def events(self) -> Iterator[KernelEvent]:
+        """Arrivals from t=0 on, time-ordered, drawn as they are read."""
         if self.rate_hz == 0.0:
-            return iter(())
-        events: List[KernelEvent] = []
-        t = t_start
+            return
+        t = 0.0
         while True:
             t += float(self.rng.exponential(1.0 / self.rate_hz))
-            if t >= t_end:
-                break
-            events.append(KernelEvent(t, self.cpu, self.handler_seconds, "irq"))
-        return iter(events)
+            yield KernelEvent(t, self.cpu, self.handler_seconds, "irq")
 
 
-def merge_sources(
-    sources: Sequence[object], t_end: float, t_start: float = 0.0
-) -> Iterator[KernelEvent]:
+def merge_sources(sources: Sequence[object]) -> Iterator[KernelEvent]:
     """Time-ordered merge of several sources' event streams."""
-    iterators = [src.events(t_end, t_start) for src in sources]
-    return iter(heapq.merge(*iterators))
+    return heapq.merge(*(src.events() for src in sources))

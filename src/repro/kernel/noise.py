@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.kernel.interrupts import KernelEvent
 from repro.util.rng import RngStreams
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["NoiseConfig", "NoiseSource", "make_noise_sources"]
 
@@ -58,22 +58,17 @@ class NoiseSource:
         self.config = config
         self.rng = rng
 
-    def events(self, t_end: float, t_start: float = 0.0) -> Iterator[KernelEvent]:
-        """Wakeup events in ``[t_start, t_end)``, time-ordered."""
-        check_non_negative("t_start", t_start)
+    def events(self) -> Iterator[KernelEvent]:
+        """Wakeup events from t=0 on, time-ordered, drawn as they are read."""
         cfg = self.config
-        events: List[KernelEvent] = []
-        t = t_start
+        t = 0.0
         while True:
             t += float(self.rng.exponential(cfg.mean_period))
-            if t >= t_end:
-                break
             burst = min(
                 float(self.rng.exponential(cfg.mean_burst)), 10.0 * cfg.mean_burst
             )
-            events.append(KernelEvent(t, cfg.cpu, burst, f"noise:{cfg.name}"))
+            yield KernelEvent(t, cfg.cpu, burst, f"noise:{cfg.name}")
             t += burst
-        return iter(events)
 
 
 def make_noise_sources(

@@ -14,10 +14,11 @@ entry point::
     )
 
 Each :meth:`System.run` builds a fresh machine (chip state, scheduler,
-runtime), so a ``System`` can run many experiments independently. What
-depends only on the mapping — its validation, each rank's hardware slot,
-the core groups and, on several nodes, the rank-pair cost table — is
-built once per mapping as a :class:`~repro.mpi.runtime.RunLayout` and
+runtime) and fresh kernel-event sources, so a ``System`` can run many
+experiments independently: a run's answer never depends on the runs
+before it. What depends only on the mapping — its validation, each
+rank's hardware slot, the core groups and, on several nodes, the
+rank-pair cost table — is built once per mapping as a :class:`~repro.mpi.runtime.RunLayout` and
 reused by every later run with that mapping.
 
 On ``n_nodes > 1`` nodes one kernel image spans the machine (the
@@ -33,12 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
-import heapq
-
 from repro.cluster.topology import NetworkModel, UniformNetwork
 from repro.errors import ConfigurationError
 from repro.kernel.hmt import Actor, HmtController
-from repro.kernel.interrupts import InterruptSource, KernelEvent, TimerTickSource
+from repro.kernel.interrupts import (
+    InterruptSource,
+    KernelEvent,
+    TimerTickSource,
+    merge_sources,
+)
 from repro.kernel.kernel import KernelModel, make_kernel
 from repro.kernel.noise import NoiseConfig, make_noise_sources
 from repro.kernel.scheduler import PinnedScheduler
@@ -48,7 +52,6 @@ from repro.mpi.process import RankProgram
 from repro.mpi.runtime import MpiRuntime, RunLayout, RunResult, RuntimeConfig
 from repro.smt.analytic import AnalyticModelConfig, AnalyticThroughputModel
 from repro.smt.chip import ChipConfig, Power5Chip
-from repro.smt.instructions import LoadProfile
 from repro.smt.throughput import ThroughputTable
 from repro.util.memo import LruCache
 from repro.util.rng import RngStreams
@@ -114,18 +117,12 @@ class SystemConfig:
 class System:
     """Factory/runner for simulated machines."""
 
-    #: Horizon for pre-generating kernel events; extended automatically
-    #: would be better, but the runtime's time_limit bounds real use and
-    #: generating a fixed horizon keeps sources simple and deterministic.
-    KERNEL_EVENT_HORIZON = 4000.0
-
     #: Run layouts kept (least recently used first out): a joint search
     #: visits a few dozen mappings.
     LAYOUT_CACHE_SIZE = 64
 
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config or SystemConfig()
-        self._streams = RngStreams(self.config.seed)
         self._layouts: LruCache[RunLayout] = LruCache(self.LAYOUT_CACHE_SIZE)
         # The model is shared across runs so its memo cache warms up.
         if self.config.model == "analytic":
@@ -164,23 +161,25 @@ class System:
         kernel = make_kernel(self.config.kernel, hmt, scheduler)
         return chip, hmt, scheduler, kernel
 
-    def _kernel_event_stream(self, horizon: float) -> Optional[Iterator[KernelEvent]]:
+    def _kernel_event_stream(self) -> Optional[Iterator[KernelEvent]]:
+        """One run's kernel events, or ``None`` when no source is
+        configured. The sources draw from a fresh ``RngStreams(seed)``,
+        so a run's events never depend on the runs before it, and only
+        as far as the run reads them."""
         cfg = self.config
+        if not (cfg.tick_hz > 0 or cfg.irq_rate_hz > 0 or cfg.noise):
+            return None
+        streams = RngStreams(cfg.seed)
         sources: List[object] = []
         if cfg.tick_hz > 0:
             n_cpus = cfg.n_nodes * cfg.chip.n_cpus
             sources.append(TimerTickSource(list(range(n_cpus)), hz=cfg.tick_hz))
         if cfg.irq_rate_hz > 0:
             sources.append(
-                InterruptSource(
-                    self._streams.get("irq.cpu0"), rate_hz=cfg.irq_rate_hz, cpu=0
-                )
+                InterruptSource(streams.get("irq.cpu0"), rate_hz=cfg.irq_rate_hz, cpu=0)
             )
-        if cfg.noise:
-            sources.extend(make_noise_sources(list(cfg.noise), self._streams))
-        if not sources:
-            return None
-        return iter(heapq.merge(*(src.events(horizon) for src in sources)))
+        sources.extend(make_noise_sources(cfg.noise, streams))
+        return merge_sources(sources)
 
     def run_layout(self, chip: Power5Chip, mapping: ProcessMapping) -> RunLayout:
         """The :class:`RunLayout` of ``mapping`` on this machine, built
@@ -202,9 +201,7 @@ class System:
         programs: Sequence[RankProgram],
         mapping: Optional[ProcessMapping] = None,
         priorities: Optional[Mapping[int, int]] = None,
-        profiles: Optional[Mapping[str, LoadProfile]] = None,
         label: str = "",
-        event_horizon: Optional[float] = None,
         controllers: Optional[Sequence] = None,
     ) -> RunResult:
         """Run one experiment.
@@ -242,11 +239,8 @@ class System:
             model=self.model,
             programs=programs,
             layout=self.run_layout(chip, mapping),
-            profiles=profiles,
             config=self.config.runtime,
-            kernel_events=self._kernel_event_stream(
-                event_horizon or self.KERNEL_EVENT_HORIZON
-            ),
+            kernel_events=self._kernel_event_stream(),
             label=label,
             on_start=on_start,
             controllers=controllers,

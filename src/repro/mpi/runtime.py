@@ -74,7 +74,7 @@ from repro.mpi.process import (
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.smt.chip import Power5Chip
-from repro.smt.instructions import BASE_PROFILES, LoadProfile
+from repro.smt.instructions import BASE_PROFILES
 from repro.telemetry import default_registry as _telemetry_registry
 from repro.telemetry import enabled as _telemetry_enabled
 from repro.trace.events import RankState
@@ -119,6 +119,9 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"wait_mode must be 'spin' or 'block', got {self.wait_mode!r}"
             )
+        for key in (self.spin_profile, self.noise_profile):
+            if key not in BASE_PROFILES:
+                raise ConfigurationError(f"unknown runtime profile {key!r}")
         check_positive("time_limit", self.time_limit)
         check_positive("max_events", self.max_events)
         check_positive("epsilon", self.epsilon)
@@ -279,13 +282,10 @@ class MpiRuntime:
     layout:
         The :class:`RunLayout` of this machine and rank -> CPU mapping;
         it must cover exactly the programs' ranks.
-    profiles:
-        Name -> :class:`LoadProfile` registry; defaults to
-        ``BASE_PROFILES`` and is augmented, not replaced, by the caller's
-        entries.
     kernel_events:
         Optional time-ordered iterator of :class:`KernelEvent` (merged
-        interrupt + noise streams).
+        tick, interrupt and noise streams), read only as far as the run
+        reaches.
     """
 
     def __init__(
@@ -296,7 +296,6 @@ class MpiRuntime:
         model,
         programs: Sequence[RankProgram],
         layout: RunLayout,
-        profiles: Optional[Mapping[str, LoadProfile]] = None,
         config: Optional[RuntimeConfig] = None,
         kernel_events: Optional[Iterator[KernelEvent]] = None,
         label: str = "",
@@ -322,13 +321,6 @@ class MpiRuntime:
                 f"layout is for {layout.n_cpus} cpus, the chip has {chip.n_cpus}"
             )
         self.mapping = layout.mapping
-
-        self.profiles: Dict[str, LoadProfile] = dict(BASE_PROFILES)
-        if profiles:
-            self.profiles.update(profiles)
-        for key in (self.config.spin_profile, self.config.noise_profile):
-            if key not in self.profiles:
-                raise ConfigurationError(f"unknown runtime profile {key!r}")
 
         self.world = layout.world
         self.engine = MessageEngine(
@@ -448,7 +440,7 @@ class MpiRuntime:
             self._mark_all_dirty()
 
     def _set_context_load(self, proc: _Proc, name: Optional[str]) -> None:
-        profile = self.profiles[name] if name is not None else None
+        profile = BASE_PROFILES[name] if name is not None else None
         core = self._cores[proc.core_idx]
         # Hot path: ``proc.thread`` is 0/1 by construction and ``profile``
         # comes from the validated profile table, so skip SmtCore's
@@ -607,7 +599,7 @@ class MpiRuntime:
             raise SimulationError(f"rank {proc.rank} yielded unknown op {op!r}")
 
     def _start_compute(self, proc: _Proc, op: ComputeOp) -> None:
-        if op.profile not in self.profiles:
+        if op.profile not in BASE_PROFILES:
             raise ConfigurationError(
                 f"rank {proc.rank}: unknown load profile {op.profile!r}"
             )
@@ -795,7 +787,9 @@ class MpiRuntime:
     # -- kernel event feed ---------------------------------------------------------
 
     def _peek_kernel(self) -> Optional[KernelEvent]:
-        if self._next_kernel is None and self._kernel_events is not None:
+        """The next kernel event, read once; a stream that runs dry
+        (only a caller's finite one can) is dropped."""
+        if self._next_kernel is None:
             self._next_kernel = next(self._kernel_events, None)
             if self._next_kernel is None:
                 self._kernel_events = None
@@ -851,22 +845,24 @@ class MpiRuntime:
             # (a strict ``<`` keeps what ``min`` keeps on a tie).
             now = self.now
             t_next = heap[0][0] if heap else inf
-            if self._next_kernel is not None or self._kernel_events is not None:
-                kernel_ev = self._peek_kernel()
-                if kernel_ev is not None and kernel_ev.time < t_next:
-                    t_next = kernel_ev.time
             for proc in computing:
                 rate = proc.rate
                 if rate > 0.0:
                     done_at = now + proc.remaining / rate
                     if done_at < t_next:
                         t_next = done_at
+            # Kernel events only reset priorities or preempt; they never
+            # unblock a rank, so they do not count against a deadlock.
             if t_next == inf:
                 raise DeadlockError(
                     f"t={now:.6f}s: no runnable rank and no pending event. "
                     f"p2p: {self.engine.pending_summary()}; "
                     f"collectives: {self.collectives.pending_summary()}"
                 )
+            if self._kernel_events is not None:
+                kernel_ev = self._peek_kernel()
+                if kernel_ev is not None and kernel_ev.time < t_next:
+                    t_next = kernel_ev.time
             if now > t_next:
                 t_next = now
             if t_next > time_limit:
@@ -909,7 +905,7 @@ class MpiRuntime:
                     raise SimulationError(f"unknown event kind {kind!r}")
 
             # Fire due kernel events.
-            while self._next_kernel is not None or self._kernel_events is not None:
+            while self._kernel_events is not None:
                 kernel_ev = self._peek_kernel()
                 if kernel_ev is None or kernel_ev.time > due:
                     break

@@ -147,7 +147,6 @@ class TestKernelEventsOnEveryNode:
         system.run(
             [prog, prog],
             ProcessMapping.from_dict({0: 0, 1: cpu}),
-            event_horizon=1.0,
             controllers=[RaiseOnce()],
         )
         writes = [w for w in seen[0].history if w.cpu == cpu]

@@ -16,15 +16,18 @@ from repro.kernel.interrupts import (
 from repro.machine.system import System, SystemConfig
 
 
-def _eager_ticks(src, t_end, t_start=0.0):
-    """Every tick built into one list and sorted: how ticks were generated
-    before they became lazy, kept as the reference."""
+def _window(src, t_end):
+    """``src``'s events before ``t_end``."""
+    return list(itertools.takewhile(lambda e: e.time < t_end, src.events()))
+
+
+def _eager_ticks(src, t_end):
+    """Every tick before ``t_end`` built into one list and sorted: how
+    ticks were generated before they became lazy, kept as the reference."""
     period = 1.0 / src.hz
     events = []
     for i, cpu in enumerate(src.cpus):
-        offset = (i / len(src.cpus)) * period if src.phase_stagger else 0.0
-        k = max(0, int(np.ceil((t_start - offset) / period)))
-        t = offset + k * period
+        t = (i / len(src.cpus)) * period if src.phase_stagger else 0.0
         while t < t_end:
             events.append(KernelEvent(t, cpu, src.handler_seconds, "tick"))
             t += period
@@ -46,30 +49,25 @@ class TestKernelEvent:
 class TestTimerTicks:
     def test_tick_count_matches_hz(self):
         src = TimerTickSource([0], hz=100.0, phase_stagger=False)
-        events = list(src.events(1.0))
+        events = _window(src, 1.0)
         assert len(events) == 100
         assert all(e.kind == "tick" for e in events)
 
     def test_all_cpus_receive_ticks(self):
         src = TimerTickSource([0, 1, 2, 3], hz=50.0)
-        events = list(src.events(1.0))
+        events = _window(src, 1.0)
         assert {e.cpu for e in events} == {0, 1, 2, 3}
 
     def test_stagger_spreads_phases(self):
         src = TimerTickSource([0, 1], hz=10.0, phase_stagger=True)
-        events = list(src.events(0.2))
+        events = _window(src, 0.2)
         times0 = [e.time for e in events if e.cpu == 0]
         times1 = [e.time for e in events if e.cpu == 1]
         assert times0[0] != times1[0]
 
-    def test_window_start(self):
-        src = TimerTickSource([0], hz=100.0, phase_stagger=False)
-        events = list(src.events(1.0, t_start=0.5))
-        assert all(0.5 <= e.time < 1.0 for e in events)
-
     def test_time_ordered(self):
         src = TimerTickSource([0, 1, 2], hz=30.0)
-        times = [e.time for e in src.events(1.0)]
+        times = [e.time for e in _window(src, 1.0)]
         assert times == sorted(times)
 
     def test_validation(self):
@@ -79,11 +77,10 @@ class TestTimerTicks:
 
 class TestLazyTicks:
     @pytest.mark.parametrize("stagger", [True, False])
-    @pytest.mark.parametrize("t_start", [0.0, 0.0137, 0.5])
-    def test_same_events_in_the_same_order_as_the_eager_list(self, stagger, t_start):
+    def test_same_events_in_the_same_order_as_the_eager_list(self, stagger):
         src = TimerTickSource([0, 1, 2, 3, 4, 5, 6, 7], hz=1000.0, phase_stagger=stagger)
-        lazy = list(src.events(0.75, t_start=t_start))
-        eager = _eager_ticks(src, 0.75, t_start=t_start)
+        lazy = _window(src, 0.75)
+        eager = _eager_ticks(src, 0.75)
         assert len(lazy) == len(eager) > 0
         assert [(e.time, e.cpu, e.duration, e.kind) for e in lazy] == [
             (e.time, e.cpu, e.duration, e.kind) for e in eager
@@ -99,12 +96,12 @@ class TestLazyTicks:
 
         monkeypatch.setattr(interrupts, "KernelEvent", CountingEvent)
         system = System(SystemConfig(n_nodes=2, tick_hz=1000.0))
-        stream = system._kernel_event_stream(System.KERNEL_EVENT_HORIZON)
+        stream = system._kernel_event_stream()
         first = list(itertools.islice(stream, 16))
         assert [e.time for e in first] == sorted(e.time for e in first)
         assert {e.cpu for e in first} == set(range(8))
-        # One pending tick per CPU beyond those taken, against 32 M
-        # ticks up to the 4000 s horizon.
+        # One pending tick per CPU beyond those taken: the stream has no
+        # horizon to build up front.
         assert len(made) <= len(first) + 8
 
 
@@ -114,21 +111,21 @@ class TestInterruptSource:
 
     def test_poisson_rate_approximate(self):
         src = InterruptSource(self._rng(), rate_hz=200.0, cpu=0)
-        events = list(src.events(50.0))
+        events = _window(src, 50.0)
         assert len(events) == pytest.approx(10_000, rel=0.1)
 
     def test_all_routed_to_cpu0(self):
         """The 'interrupt annoyance problem': all device IRQs on CPU0."""
         src = InterruptSource(self._rng(), rate_hz=100.0, cpu=0)
-        assert all(e.cpu == 0 for e in src.events(5.0))
+        assert all(e.cpu == 0 for e in _window(src, 5.0))
 
     def test_zero_rate_is_silent(self):
         src = InterruptSource(self._rng(), rate_hz=0.0)
-        assert list(src.events(100.0)) == []
+        assert _window(src, 100.0) == []
 
     def test_deterministic_given_seed(self):
-        e1 = [e.time for e in InterruptSource(self._rng(9), 50.0).events(2.0)]
-        e2 = [e.time for e in InterruptSource(self._rng(9), 50.0).events(2.0)]
+        e1 = [e.time for e in _window(InterruptSource(self._rng(9), 50.0), 2.0)]
+        e2 = [e.time for e in _window(InterruptSource(self._rng(9), 50.0), 2.0)]
         assert e1 == e2
 
 
@@ -136,7 +133,9 @@ class TestMerge:
     def test_merged_streams_time_ordered(self):
         ticks = TimerTickSource([0, 1], hz=25.0)
         irqs = InterruptSource(np.random.Generator(np.random.PCG64(1)), 40.0)
-        merged = list(merge_sources([ticks, irqs], 2.0))
+        merged = list(
+            itertools.takewhile(lambda e: e.time < 2.0, merge_sources([ticks, irqs]))
+        )
         times = [e.time for e in merged]
         assert times == sorted(times)
         assert {e.kind for e in merged} == {"tick", "irq"}

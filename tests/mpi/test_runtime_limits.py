@@ -22,13 +22,10 @@ class TestRuntimeConfig:
             RuntimeConfig(epsilon=0)
 
     def test_unknown_spin_profile_rejected_at_construction(self):
-        system = System(SystemConfig(runtime=RuntimeConfig(spin_profile="nope")))
-
-        def prog(mpi):
-            yield mpi.compute(1e6, profile="hpc")
-
         with pytest.raises(ConfigurationError, match="nope"):
-            system.run([prog], ProcessMapping.identity(1))
+            RuntimeConfig(spin_profile="nope")
+        with pytest.raises(ConfigurationError, match="nope"):
+            RuntimeConfig(noise_profile="nope")
 
 
 class TestRunawayGuards:
