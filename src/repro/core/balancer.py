@@ -12,6 +12,8 @@ from repro.smt.priorities import validate_priority
 
 __all__ = ["DEFAULT_PRIORITIES", "PriorityAssignment", "Balancer"]
 
+_new = object.__new__
+
 
 def DEFAULT_PRIORITIES(n_ranks: int) -> Dict[int, int]:
     """The unbalanced reference: every rank at MEDIUM (4)."""
@@ -41,6 +43,23 @@ class PriorityAssignment:
         label: str = "",
     ) -> "PriorityAssignment":
         return cls(mapping, tuple(sorted(priorities.items())), label)
+
+    @classmethod
+    def _trusted(
+        cls,
+        mapping: ProcessMapping,
+        priorities: Tuple[Tuple[int, int], ...],
+        label: str = "",
+    ) -> "PriorityAssignment":
+        """The same record for ``priorities`` the caller built sorted,
+        one per rank of ``mapping``, from checked OS-settable levels (the
+        search grammar), without the frozen ``__init__`` and its re-check."""
+        assignment = _new(cls)
+        fields = assignment.__dict__
+        fields["mapping"] = mapping
+        fields["priorities"] = priorities
+        fields["label"] = label
+        return assignment
 
     def __post_init__(self) -> None:
         ranks = [r for r, _ in self.priorities]

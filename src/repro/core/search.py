@@ -38,6 +38,7 @@ from repro.machine.system import System
 from repro.mpi.process import RankProgram
 from repro.smt.cache import CacheHierarchy
 from repro.smt.instructions import BASE_PROFILES, LoadProfile
+from repro.smt.priorities import validate_priority
 from repro.telemetry import default_registry
 
 __all__ = [
@@ -125,11 +126,13 @@ def _core_priorities(
     ``groups`` are the ranks sharing each core (one or two). A lone rank
     takes any of ``levels``; a sibling pair any two levels at most
     ``max_gap`` apart. Yields every cross-core combination as a
-    ``{rank: level}`` dict, in product order.
+    ``{rank: level}`` dict, in product order. Every level is checked
+    here, once: each must be an OS-settable (1-6) priority.
     """
     for lv in levels:
         if not 1 <= lv <= 6:
             raise ConfigurationError(f"levels must be OS-settable (1-6), got {lv}")
+        validate_priority(lv)  # a level, not just a number in range (5.0, True)
     per_core: List[List[Dict[int, int]]] = []
     for group in groups:
         if len(group) == 1:
@@ -162,8 +165,9 @@ def candidate_assignments(
     both levels (e.g. (3,3) vs (4,4)) are kept: absolute level matters at
     the boundaries (1 and 6) and for later dynamic adjustment headroom.
     """
+    # The grammar checks the levels and covers each rank once.
     return [
-        PriorityAssignment.build(mapping, prios, label="search")
+        PriorityAssignment._trusted(mapping, tuple(sorted(prios.items())), "search")
         for prios in _core_priorities(mapping.core_pairs(), levels, max_gap)
     ]
 

@@ -14,6 +14,7 @@ and the ``mtspr`` write to the Thread Status Register.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import PrivilegeError
@@ -67,6 +68,11 @@ class PriorityWrite(NamedTuple):
     via: str  # "or-nop" | "mtspr" | "kernel"
 
 
+#: ``PriorityWrite`` from a tuple of its fields, without the named
+#: tuple's Python-level ``__new__`` (one record per write).
+_record = functools.partial(tuple.__new__, PriorityWrite)
+
+
 class HmtController:
     """Privilege-checked access to the chip's hardware thread priorities."""
 
@@ -100,7 +106,7 @@ class HmtController:
                 span = f"{min(allowed)}-{max(allowed)}"
                 raise PrivilegeError(actor.value, priority, span)
         self.chip.store_priority(cpu, priority)
-        self.history.append(PriorityWrite(time, cpu, priority, actor, via))
+        self.history.append(_record((time, cpu, priority, actor, via)))
 
     def try_set_priority(
         self,

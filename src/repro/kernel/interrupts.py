@@ -16,6 +16,7 @@ annoyance problem" the paper cites) can be routed entirely to CPU0.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -25,6 +26,8 @@ from repro.errors import ConfigurationError
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["KernelEvent", "InterruptSource", "TimerTickSource", "merge_sources"]
+
+_new = object.__new__
 
 
 @dataclass(frozen=True, order=True)
@@ -43,6 +46,31 @@ class KernelEvent:
     def __post_init__(self) -> None:
         check_non_negative("event.time", self.time)
         check_non_negative("event.duration", self.duration)
+
+    @classmethod
+    def _trusted(cls, time: float, cpu: int, duration: float, kind: str) -> "KernelEvent":
+        """An event a source builds from its checked parameters (a time
+        and duration that cannot be negative), without the frozen
+        ``__init__`` and its re-check."""
+        event = _new(cls)
+        fields = event.__dict__
+        fields["time"] = time
+        fields["cpu"] = cpu
+        fields["duration"] = duration
+        fields["kind"] = kind
+        return event
+
+
+#: The events' order (``KernelEvent``'s field order) as a plain tuple, so
+#: merging compares tuples, not the dataclass's generated ``__lt__`` and
+#: ``__eq__``; ``heapq.merge`` keeps equal keys in stream order.
+_ORDER = operator.attrgetter("time", "cpu", "duration", "kind")
+
+
+def _merge_events(*streams: Iterator[KernelEvent]) -> Iterator[KernelEvent]:
+    """Time-ordered merge of time-ordered event streams: by ``(time, cpu,
+    duration, kind)``, and on equal keys in ``streams`` order."""
+    return heapq.merge(*streams, key=_ORDER)
 
 
 class TimerTickSource:
@@ -83,7 +111,7 @@ class TimerTickSource:
         """
         period = 1.0 / self.hz
         n = len(self.cpus)
-        return heapq.merge(
+        return _merge_events(
             *(
                 self._ticks(cpu, (i / n) * period if self.phase_stagger else 0.0, period)
                 for i, cpu in enumerate(self.cpus)
@@ -92,8 +120,9 @@ class TimerTickSource:
 
     def _ticks(self, cpu: int, t: float, period: float) -> Iterator[KernelEvent]:
         """One CPU's ticks from ``t`` on, ``period`` apart."""
+        event, handler = KernelEvent._trusted, self.handler_seconds
         while True:
-            yield KernelEvent(t, cpu, self.handler_seconds, "tick")
+            yield event(t, cpu, handler, "tick")
             t += period
 
 
@@ -124,12 +153,14 @@ class InterruptSource:
         """Arrivals from t=0 on, time-ordered, drawn as they are read."""
         if self.rate_hz == 0.0:
             return
+        event = KernelEvent._trusted
         t = 0.0
         while True:
             t += float(self.rng.exponential(1.0 / self.rate_hz))
-            yield KernelEvent(t, self.cpu, self.handler_seconds, "irq")
+            yield event(t, self.cpu, self.handler_seconds, "irq")
 
 
 def merge_sources(sources: Sequence[object]) -> Iterator[KernelEvent]:
-    """Time-ordered merge of several sources' event streams."""
-    return heapq.merge(*(src.events() for src in sources))
+    """Time-ordered merge of several sources' event streams (see
+    :func:`_merge_events`)."""
+    return _merge_events(*(src.events() for src in sources))

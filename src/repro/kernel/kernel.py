@@ -15,7 +15,7 @@ calls the hooks at the corresponding simulated moments.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.kernel.hmt import Actor, HmtController
@@ -63,13 +63,40 @@ class KernelModel:
         """An interrupt/exception/syscall handler starts on ``cpu``."""
 
     def on_process_start(self, pid: int, cpu: int, time: float) -> None:
-        """A process begins running on ``cpu``."""
+        """A process begins running on ``cpu``, at the default MEDIUM
+        priority."""
+        self.hmt.set_priority(cpu, int(DEFAULT_PRIORITY), Actor.OS, time, via="kernel")
 
     def on_cpu_idle(self, cpu: int, time: float) -> None:
         """``cpu`` enters the kernel idle loop (its process exited)."""
         # Both kernels lower the idle thread's priority so the sibling
         # context receives more resources (standard behaviour case 3).
         self.hmt.set_priority(cpu, int(self.IDLE_PRIORITY), Actor.OS, time, via="kernel")
+
+    def set_static_priority(self, pid: int, priority: int, time: float) -> None:
+        """Userspace sets ``pid``'s priority once, before the run: an
+        unprivileged priority nop on this kernel (levels outside 2-4 are
+        silently impossible)."""
+        cpu = self.scheduler.cpu_of(pid)
+        self.hmt.try_set_priority(cpu, priority, Actor.USER, time, via="or-nop")
+
+    def launch(
+        self,
+        pins: Mapping[int, int],
+        priorities: Optional[Mapping[int, int]] = None,
+        time: float = 0.0,
+    ) -> None:
+        """Start a run's processes at ``time``: pin each ``pid -> cpu`` of
+        ``pins`` and :meth:`on_process_start` it, in ``pins`` order, then
+        :meth:`set_static_priority` each of ``priorities`` in pid order —
+        mpirun, then the balancing script's ``echo N`` per rank."""
+        pin = self.scheduler.pin
+        for pid, cpu in pins.items():
+            pin(pid, cpu)
+            self.on_process_start(pid, cpu, time)
+        if priorities:
+            for pid, prio in sorted(priorities.items()):
+                self.set_static_priority(pid, prio, time)
 
 
 class StandardLinux(KernelModel):
@@ -86,10 +113,6 @@ class StandardLinux(KernelModel):
             self.hmt.set_priority(
                 cpu, int(DEFAULT_PRIORITY), Actor.OS, time, via="kernel"
             )
-
-    def on_process_start(self, pid: int, cpu: int, time: float) -> None:
-        # Processes start at the default MEDIUM priority.
-        self.hmt.set_priority(cpu, int(DEFAULT_PRIORITY), Actor.OS, time, via="kernel")
 
 
 class PatchedLinux(KernelModel):
@@ -115,8 +138,9 @@ class PatchedLinux(KernelModel):
         # Patch point 1: the handler no longer touches the priority.
         pass
 
-    def on_process_start(self, pid: int, cpu: int, time: float) -> None:
-        self.hmt.set_priority(cpu, int(DEFAULT_PRIORITY), Actor.OS, time, via="kernel")
+    def set_static_priority(self, pid: int, priority: int, time: float) -> None:
+        """``echo N > /proc/<pid>/hmt_priority``, at OS privilege."""
+        self._procfs.set_priority_of_pid(pid, priority, time=time)
 
 
 def make_kernel(

@@ -61,13 +61,14 @@ class NoiseSource:
     def events(self) -> Iterator[KernelEvent]:
         """Wakeup events from t=0 on, time-ordered, drawn as they are read."""
         cfg = self.config
+        event, kind = KernelEvent._trusted, f"noise:{cfg.name}"
         t = 0.0
         while True:
             t += float(self.rng.exponential(cfg.mean_period))
             burst = min(
                 float(self.rng.exponential(cfg.mean_burst)), 10.0 * cfg.mean_burst
             )
-            yield KernelEvent(t, cfg.cpu, burst, f"noise:{cfg.name}")
+            yield event(t, cfg.cpu, burst, kind)
             t += burst
 
 

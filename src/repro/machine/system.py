@@ -36,14 +36,14 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.cluster.topology import NetworkModel, UniformNetwork
 from repro.errors import ConfigurationError
-from repro.kernel.hmt import Actor, HmtController
+from repro.kernel.hmt import HmtController
 from repro.kernel.interrupts import (
     InterruptSource,
     KernelEvent,
     TimerTickSource,
     merge_sources,
 )
-from repro.kernel.kernel import KernelModel, make_kernel
+from repro.kernel.kernel import make_kernel
 from repro.kernel.noise import NoiseConfig, make_noise_sources
 from repro.kernel.scheduler import PinnedScheduler
 from repro.machine.mapping import ProcessMapping
@@ -109,9 +109,19 @@ class SystemConfig:
             raise ConfigurationError("network_eager_threshold must be >= 0")
         if self.tick_hz < 0 or self.irq_rate_hz < 0:
             raise ConfigurationError("tick_hz/irq_rate_hz must be >= 0")
+        daemons = set()
         for cfg in self.noise:
             if not isinstance(cfg, NoiseConfig):
                 raise ConfigurationError(f"noise entries must be NoiseConfig, got {cfg!r}")
+            # A daemon's RNG stream is named by its (name, cpu): two with
+            # the same pair would draw from one stream, not two.
+            daemon = (cfg.name, cfg.cpu)
+            if daemon in daemons:
+                raise ConfigurationError(
+                    f"two noise daemons named {cfg.name!r} on cpu {cfg.cpu}: "
+                    "each (name, cpu) pair may appear once"
+                )
+            daemons.add(daemon)
 
 
 class System:
@@ -209,29 +219,19 @@ class System:
         Parameters
         ----------
         priorities:
-            rank -> hardware priority, installed through the kernel's
-            ``/proc/<pid>/hmt_priority`` interface *before* launch — the
-            paper's static balancing. Requires the patched kernel for
-            levels outside 2-4 (a standard kernel raises
-            ``FileNotFoundError``, and would reset them at the first
-            interrupt anyway).
+            rank -> hardware priority, installed by the kernel at t=0
+            right after launch — the paper's static balancing. The
+            patched kernel writes each through
+            ``/proc/<pid>/hmt_priority``; the standard kernel has only the
+            user ``or``-nop, which ignores levels outside 2-4 (and resets
+            the rest to MEDIUM at the first interrupt).
         """
         mapping = mapping or ProcessMapping.identity(len(programs))
         if mapping.n_ranks != len(programs):
             raise ConfigurationError(
                 f"mapping covers {mapping.n_ranks} ranks but {len(programs)} programs given"
             )
-        chip, hmt, scheduler, kernel = self.build_machine()
-
-        on_start = None
-        if priorities:
-            wanted = dict(priorities)
-
-            def on_start(runtime: MpiRuntime) -> None:
-                # Runs at t=0 after mpirun has started (and priority-reset)
-                # every rank: the balancing script's `echo N > /proc/...`.
-                self._apply_priorities(kernel, hmt, wanted)
-
+        chip, hmt, _scheduler, kernel = self.build_machine()
         runtime = MpiRuntime(
             chip=chip,
             kernel=kernel,
@@ -242,7 +242,7 @@ class System:
             config=self.config.runtime,
             kernel_events=self._kernel_event_stream(),
             label=label,
-            on_start=on_start,
+            priorities=priorities,
             controllers=controllers,
         )
         return runtime.run()
@@ -278,21 +278,3 @@ class System:
         rows = {a: [link(a, b) for b in rank_node] for a in set(rank_node)}
         table = [rows[a] for a in rank_node]
         return lambda src, dst: table[src][dst]
-
-    @staticmethod
-    def _apply_priorities(
-        kernel: KernelModel,
-        hmt: HmtController,
-        priorities: Mapping[int, int],
-    ) -> None:
-        if kernel.has_hmt_procfs:
-            # echo N > /proc/<pid>/hmt_priority, at OS privilege.
-            write = kernel.procfs.set_priority_of_pid
-            for pid, prio in sorted(priorities.items()):
-                write(pid, prio, time=0.0)
-            return
-        for pid, prio in sorted(priorities.items()):
-            # Standard kernel: userspace can only use the or-nop path
-            # (2-4); anything else is silently impossible.
-            cpu = kernel.scheduler.cpu_of(pid)
-            hmt.try_set_priority(cpu, prio, time=0.0, via="or-nop", actor=Actor.USER)

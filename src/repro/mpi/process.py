@@ -218,8 +218,12 @@ class RankApi:
     """Operation factory handed to each rank program.
 
     Also carries the rank's identity (``rank``, ``size``) the way
-    ``MPI_Comm_rank``/``MPI_Comm_size`` would provide it.
+    ``MPI_Comm_rank``/``MPI_Comm_size`` would provide it. It holds
+    nothing else (no per-instance dict), so one per rank can serve every
+    run of a mapping.
     """
+
+    __slots__ = ("rank", "size")
 
     def __init__(self, rank: int, size: int) -> None:
         if not 0 <= rank < size:

@@ -34,8 +34,11 @@ import itertools
 import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import (
     ConfigurationError,
@@ -74,7 +77,7 @@ from repro.mpi.process import (
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.smt.chip import Power5Chip
-from repro.smt.instructions import BASE_PROFILES
+from repro.smt.instructions import BASE_PROFILES, LoadProfile
 from repro.telemetry import default_registry as _telemetry_registry
 from repro.telemetry import enabled as _telemetry_enabled
 from repro.trace.events import RankState
@@ -152,6 +155,11 @@ class _PState:
     DONE = "done"
 
 
+#: The requests a rank waiting on none (at a collective, or running)
+#: awaits; shared, as only a rank blocked on requests gets its own set.
+_NO_REQUESTS: AbstractSet[int] = frozenset()
+
+
 class _Proc:
     """Runtime-internal per-rank state."""
 
@@ -174,25 +182,37 @@ class _Proc:
         "blocked_trace_state",
         "noise_resume",
         "released",
+        "loads",
+        "group",
     )
 
     def __init__(
-        self, rank: int, slot: Tuple[int, int, int], gen: Generator[Op, object, None]
+        self,
+        rank: int,
+        slot: Tuple[int, int, int],
+        gen: Generator[Op, object, None],
+        timeline,
+        loads: List[Optional[LoadProfile]],
+        group: int,
     ) -> None:
         self.rank = rank
         self.cpu, self.core_idx, self.thread = slot
+        #: Its core's context loads (written at ``thread``), and the core
+        #: group a change to them dirties.
+        self.loads = loads
+        self.group = group
         self.gen = gen
         self.state = _PState.READY
         self.remaining = 0.0
         self.rate = 0.0  # instructions/second while computing
         self.profile_name: Optional[str] = None
         self.trace_state: Optional[RankState] = None
-        self.timeline = None  # bound to the rank's RankTimeline by the runtime
+        self.timeline = timeline  # the rank's RankTimeline
         #: Which useful state (COMPUTE/INIT/FINAL) the current compute is.
         self.compute_trace_state: RankState = RankState.COMPUTE
         self.resume_value: object = None
         #: Requests this rank is blocked on (empty + blocked = collective).
-        self.awaiting: Set[int] = set()
+        self.awaiting: AbstractSet[int] = _NO_REQUESTS
         #: The single request whose status becomes the resume value.
         self.single_wait: Optional[Request] = None
         self.blocked_trace_state: RankState = RankState.SYNC
@@ -219,13 +239,16 @@ class RunLayout:
         rank -> logical CPU; must cover ranks ``0..n-1`` with distinct
         on-chip CPUs, else :class:`~repro.errors.MappingError`.
 
+    ``mapping`` is also the run's pin table: the kernel pins each rank
+    (its pid) to its CPU from it at launch.
+
     ``pair_costs`` starts as ``None`` (every rank pair takes the runtime's
     ``comm_costs``); a multi-node System sets it to the mapping's
     rank-pair resolver ``(src, dst) -> CommCosts`` before the first run.
     """
 
     __slots__ = ("mapping", "slots", "n_cpus", "core_groups", "group_spans",
-                 "group_of_core", "world", "pair_costs")
+                 "group_of_core", "world", "apis", "pair_costs")
 
     def __init__(self, chip: Power5Chip, mapping: Mapping[int, int]) -> None:
         ranks = sorted(mapping)
@@ -258,6 +281,10 @@ class RunLayout:
         #: ``MPI_COMM_WORLD`` over the mapping's ranks (immutable, so runs
         #: share it; each run keeps its own collective state).
         self.world = Communicator.world(len(ranks))
+        #: Per rank, the (stateless) :class:`RankApi` its program gets.
+        self.apis: Tuple[RankApi, ...] = tuple(
+            RankApi(rank, len(ranks)) for rank in ranks
+        )
         self.pair_costs = None
 
     @property
@@ -286,6 +313,10 @@ class MpiRuntime:
         Optional time-ordered iterator of :class:`KernelEvent` (merged
         tick, interrupt and noise streams), read only as far as the run
         reaches.
+    priorities:
+        Optional rank -> static hardware priority, installed by the
+        kernel at t=0 right after launch (which resets every rank to
+        MEDIUM), like ``echo N > /proc/<pid>/hmt_priority`` after mpirun.
     """
 
     def __init__(
@@ -299,7 +330,7 @@ class MpiRuntime:
         config: Optional[RuntimeConfig] = None,
         kernel_events: Optional[Iterator[KernelEvent]] = None,
         label: str = "",
-        on_start=None,
+        priorities: Optional[Mapping[int, int]] = None,
         controllers: Optional[Sequence] = None,
     ) -> None:
         self.chip = chip
@@ -323,21 +354,28 @@ class MpiRuntime:
         self.mapping = layout.mapping
 
         self.world = layout.world
-        self.engine = MessageEngine(
-            self.n_ranks, self.config.comm_costs, pair_costs=layout.pair_costs
-        )
+        self._pair_costs = layout.pair_costs
         self.collectives = CollectiveManager(
             self.config.comm_costs, pair_costs=layout.pair_costs
         )
         self.trace = Trace(self.n_ranks, label=label)
+        #: What a waiting rank's context runs (``None``: it vacates it),
+        #: and what a preempted one runs.
+        self._wait_profile = (
+            BASE_PROFILES[self.config.spin_profile]
+            if self.config.wait_mode == "spin" else None
+        )
+        self._noise_profile = BASE_PROFILES[self.config.noise_profile]
 
-        self._procs: List[_Proc] = []
-        for rank, (prog, slot, timeline) in enumerate(
-            zip(programs, layout.slots, self.trace)
-        ):
-            proc = _Proc(rank, slot, prog(RankApi(rank, self.n_ranks)))
-            proc.timeline = timeline
-            self._procs.append(proc)
+        cores = chip.cores
+        group_of_core = layout.group_of_core
+        self._procs: List[_Proc] = [
+            _Proc(rank, slot, prog(api), timeline, cores[slot[1]]._loads,
+                  group_of_core[slot[1]])
+            for rank, (prog, slot, api, timeline) in enumerate(
+                zip(programs, layout.slots, layout.apis, self.trace)
+            )
+        ]
         self._by_request: Dict[int, _Proc] = {}
 
         self.now = 0.0
@@ -371,12 +409,7 @@ class MpiRuntime:
         self.group_recompute_counts: List[int] = [0] * len(self._core_groups)
         self.events_processed = 0
         self._finished = 0
-        #: Called once at t=0 after all processes are pinned and started —
-        #: the hook through which static priority assignments are applied
-        #: (they must come *after* launch, which resets priorities to
-        #: MEDIUM, exactly like `echo N > /proc/<pid>/hmt_priority` after
-        #: mpirun).
-        self._on_start = on_start
+        self._priorities = priorities
         #: Periodic controllers (e.g. the dynamic balancer): objects with
         #: an ``interval`` in seconds and an ``on_tick(runtime, now)``
         #: method, invoked at each multiple of their interval.
@@ -423,6 +456,14 @@ class MpiRuntime:
                 ),
             }
 
+    @cached_property
+    def engine(self) -> MessageEngine:
+        """The point-to-point engine, built at the run's first use of it
+        (then an instance attribute, read at no extra cost)."""
+        return MessageEngine(
+            self.n_ranks, self.config.comm_costs, pair_costs=self._pair_costs
+        )
+
     # -- helpers ---------------------------------------------------------------
 
     def _push(self, time: float, kind: str, payload: object) -> None:
@@ -440,16 +481,18 @@ class MpiRuntime:
             self._mark_all_dirty()
 
     def _set_context_load(self, proc: _Proc, name: Optional[str]) -> None:
-        profile = BASE_PROFILES[name] if name is not None else None
-        core = self._cores[proc.core_idx]
+        self._set_load(proc, BASE_PROFILES[name] if name is not None else None)
+
+    def _set_load(self, proc: _Proc, profile: Optional[LoadProfile]) -> None:
         # Hot path: ``proc.thread`` is 0/1 by construction and ``profile``
         # comes from the validated profile table, so skip SmtCore's
         # per-call checks and write the context slot directly.
-        if core._loads[proc.thread] is profile:
+        loads = proc.loads
+        if loads[proc.thread] is profile:
             return  # no state change (e.g. re-installing the spin posture)
-        core._loads[proc.thread] = profile
+        loads[proc.thread] = profile
         if self._incremental:
-            self._dirty_groups.add(self._group_of_core[proc.core_idx])
+            self._dirty_groups.add(proc.group)
             self._stale_cores.add(proc.core_idx)
         else:
             self._mark_all_dirty()
@@ -599,7 +642,8 @@ class MpiRuntime:
             raise SimulationError(f"rank {proc.rank} yielded unknown op {op!r}")
 
     def _start_compute(self, proc: _Proc, op: ComputeOp) -> None:
-        if op.profile not in BASE_PROFILES:
+        profile = BASE_PROFILES.get(op.profile)
+        if profile is None:
             raise ConfigurationError(
                 f"rank {proc.rank}: unknown load profile {op.profile!r}"
             )
@@ -612,8 +656,8 @@ class MpiRuntime:
         proc.remaining = float(op.instructions)
         proc.profile_name = op.profile
         proc.compute_trace_state = op.state
-        self._set_context_load(proc, op.profile)
-        if self._group_of_core[proc.core_idx] not in self._dirty_groups:
+        self._set_load(proc, profile)
+        if proc.group not in self._dirty_groups:
             # The load did not change (``spin`` over the spin posture):
             # nothing to re-solve, but the last rate is another profile's.
             ipc = self._ipc_by_core[proc.core_idx][proc.thread]
@@ -638,7 +682,7 @@ class MpiRuntime:
             kind, nbytes = self._COLLECTIVE_KINDS[type(op)], op.nbytes
         outcome = self.collectives.arrive(comm, proc.rank, kind, nbytes, self.now)
         proc.state = _PState.BLOCKED
-        proc.awaiting = set()
+        proc.awaiting = _NO_REQUESTS
         proc.single_wait = None
         proc.released = False
         proc.blocked_trace_state = RankState.SYNC
@@ -675,10 +719,7 @@ class MpiRuntime:
 
     def _wait_posture(self, proc: _Proc, state: RankState) -> None:
         """Install the waiting behaviour on the hardware context."""
-        if self.config.wait_mode == "spin":
-            self._set_context_load(proc, self.config.spin_profile)
-        else:
-            self._set_context_load(proc, None)
+        self._set_load(proc, self._wait_profile)
         self._set_trace(proc, state)
 
     def _apply_priority(self, proc: _Proc, op: SetPriorityOp) -> None:
@@ -692,7 +733,9 @@ class MpiRuntime:
     def _on_done(self, proc: _Proc) -> None:
         proc.state = _PState.DONE
         self._finished += 1
-        self._set_context_load(proc, None)
+        # The context empties and the kernel lowers its priority: either
+        # way its core's rates are stale, as marked below.
+        proc.loads[proc.thread] = None
         self._set_trace(proc, RankState.IDLE)
         self.kernel.on_cpu_idle(proc.cpu, self.now)
         self._mark_dirty_cpu(proc.cpu)
@@ -761,7 +804,7 @@ class MpiRuntime:
             return
         victim.noise_resume = victim.state
         victim.state = _PState.NOISE
-        self._set_context_load(victim, self.config.noise_profile)
+        self._set_load(victim, self._noise_profile)
         self._set_trace(victim, RankState.NOISE)
         self._push(self.now + event.duration, "noise_end", victim.rank)
 
@@ -802,14 +845,8 @@ class MpiRuntime:
         cfg = self.config
         telemetry = self._telemetry
         t_run0 = _time.perf_counter() if telemetry is not None else 0.0
-        # Process launch: pin + default priorities.
-        pin = self.kernel.scheduler.pin
-        on_process_start = self.kernel.on_process_start
-        for proc in self._procs:
-            pin(proc.rank, proc.cpu)
-            on_process_start(proc.rank, proc.cpu, 0.0)
-        if self._on_start is not None:
-            self._on_start(self)
+        # Process launch: pins, MEDIUM resets, then the static priorities.
+        self.kernel.launch(self.mapping, self._priorities, 0.0)
         for i, ctrl in enumerate(self._controllers):
             interval = float(getattr(ctrl, "interval"))
             check_positive("controller.interval", interval)

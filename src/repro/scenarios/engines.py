@@ -66,6 +66,7 @@ from repro.smt.chip import ChipConfig
 from repro.smt.instructions import BASE_PROFILES
 from repro.smt.throughput import ThroughputTable
 from repro.telemetry import CacheStats, default_registry, register_cache_metrics
+from repro.util.memo import LruCache
 
 __all__ = [
     "ExecutionResult",
@@ -118,6 +119,14 @@ def _new_system(config: SystemConfig) -> System:
     :class:`ClusterSystem` on several nodes so per-layer traces can tell
     multi-node runs apart."""
     return (ClusterSystem if config.n_nodes > 1 else System)(config)
+
+
+def _memo_stats(system: System) -> CacheStats:
+    """The memo accounting of ``system``'s model (zeros if it keeps none)."""
+    getter = getattr(system.model, "cache_stats", None)
+    if callable(getter):
+        return getter()
+    return CacheStats(hits=0, misses=0, size=0, max_size=0)
 
 
 def _observe_batch(engine: str, size: int, elapsed_s: float) -> None:
@@ -374,30 +383,33 @@ class FluidEngine(Engine):
     #: balancing policies ride the batch API.
     option_names = ("incremental_rates", "check_invariants", "controllers")
     axes = ("priority", "mapping", "dynamic", "topology")
+    #: Warm Systems each worker thread keeps (least recently used first
+    #: out): one per distinct (options, topology) it runs.
+    SYSTEM_CACHE_SIZE = 8
 
     def __init__(self) -> None:
         self._local = threading.local()
         self._systems_lock = threading.Lock()
+        #: Every thread's warm Systems, and the memo hits and misses of
+        #: those evicted so far (so the pulled counters never go back).
         self._systems: List[System] = []
+        self._retired = CacheStats(hits=0, misses=0, size=0, max_size=0)
         register_cache_metrics(
             default_registry(), "fluid_models", self._model_cache_stats
         )
 
     def _model_cache_stats(self) -> CacheStats:
-        """Summed memo accounting across every warm System this engine
-        has built (pull-based; evaluated only at collection time)."""
+        """Summed memo accounting across every System this engine has
+        built (pull-based; evaluated only at collection time)."""
         with self._systems_lock:
             systems = list(self._systems)
-        total = CacheStats(hits=0, misses=0, size=0, max_size=0)
+            total = self._retired
         for system in systems:
-            getter = getattr(system.model, "cache_stats", None)
-            if callable(getter):
-                total = total + getter()
+            total = total + _memo_stats(system)
         return total
 
     def _system(
         self,
-        seed: int,
         incremental: bool,
         invariants: bool,
         topology: Optional[TopologySpec] = None,
@@ -405,25 +417,29 @@ class FluidEngine(Engine):
         """Per-thread warm Systems: the shared analytic model's memo
         cache warms across runs on the same worker. The key holds the
         spec's (hashable) :class:`~repro.cluster.TopologySpec` — one warm
-        machine per distinct shape per thread."""
-        cache: Optional[Dict[tuple, System]] = getattr(
-            self._local, "systems", None
-        )
+        machine per distinct shape per thread — but not its seed: this
+        engine's machine has no seeded source (no tick, IRQ or noise, and
+        the analytic model draws nothing), so every seed runs alike."""
+        cache: Optional[LruCache[System]] = getattr(self._local, "systems", None)
         if cache is None:
-            cache = self._local.systems = {}
-        key = (seed, incremental, invariants, topology)
+            cache = self._local.systems = LruCache(self.SYSTEM_CACHE_SIZE)
+        key = (incremental, invariants, topology)
         system = cache.get(key)
         if system is None:
             runtime = RuntimeConfig(
                 incremental_rates=incremental,
                 check_invariants=invariants,
             )
-            system = _new_system(
-                _system_config(topology, seed=seed, runtime=runtime)
-            )
-            cache[key] = system
+            system = _new_system(_system_config(topology, runtime=runtime))
+            evicted = cache.put(key, system)
             with self._systems_lock:
                 self._systems.append(system)
+                if evicted is not None:
+                    self._systems.remove(evicted)
+                    stats = _memo_stats(evicted)
+                    self._retired = self._retired + CacheStats(
+                        hits=stats.hits, misses=stats.misses, size=0, max_size=0
+                    )
         return system
 
     def run(
@@ -437,7 +453,6 @@ class FluidEngine(Engine):
         t0 = time.perf_counter()
         if system is None:
             system = self._system(
-                spec.seed,
                 bool(opts.get("incremental_rates", True)),
                 bool(opts.get("check_invariants", False)),
                 spec.topology,

@@ -75,10 +75,11 @@ class LruCache(Generic[V]):
         self._data.move_to_end(key)
         return hit
 
-    def put(self, key: Hashable, value: V) -> None:
-        """Insert ``value``, evicting the least-recently-used entry if full."""
+    def put(self, key: Hashable, value: V) -> Optional[V]:
+        """Insert ``value``, evicting the least-recently-used entry if
+        full; returns the evicted value (``None`` when nothing left)."""
         if not self.enabled:
-            return
+            return None
         if key in self._data:
             self._data.move_to_end(key)
             if self._sizeof is not None:
@@ -89,9 +90,11 @@ class LruCache(Generic[V]):
             self._weights[key] = weight
             self.bytes += weight
         if len(self._data) > self.max_size:
-            evicted, _ = self._data.popitem(last=False)
+            evicted, old = self._data.popitem(last=False)
             if self._sizeof is not None:
                 self.bytes -= self._weights.pop(evicted, 0)
+            return old
+        return None
 
     def stats(self) -> CacheStats:
         return CacheStats(

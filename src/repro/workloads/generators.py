@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.mpi.process import RankApi, RankProgram
+from repro.mpi.process import BarrierOp, ComputeOp, RankApi, RankProgram
 from repro.workloads.base import WorkVector, validate_works
 
 __all__ = [
@@ -67,22 +68,38 @@ def barrier_loop_programs(
 ) -> List[RankProgram]:
     """The simplest SPMD shape: compute your share, barrier, repeat.
 
-    The workhorse of the examples and of Figure 1's synthetic trace.
+    The workhorse of the examples and of Figure 1's synthetic trace. The
+    programs hold no state, so one set is built (and its works checked)
+    per distinct ``(works, iterations, profile)`` and handed out again:
+    a search calls this once per candidate with the same works.
     """
+    return list(_barrier_loop(tuple(works), iterations, profile))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _barrier_loop(
+    works: Tuple[float, ...], iterations: int, profile: str
+) -> Tuple[RankProgram, ...]:
     works = validate_works(works)
     if iterations <= 0:
         raise WorkloadError(f"iterations must be > 0, got {iterations}")
 
+    barrier = BarrierOp()
+
     def make(rank_work: float) -> RankProgram:
+        # Operations are immutable values, so one of each serves every
+        # iteration of every run.
+        compute = ComputeOp(rank_work, profile) if rank_work > 0 else None
+
         def program(mpi: RankApi):
             for _ in range(iterations):
-                if rank_work > 0:
-                    yield mpi.compute(rank_work, profile=profile)
-                yield mpi.barrier()
+                if compute is not None:
+                    yield compute
+                yield barrier
 
         return program
 
-    return [make(w) for w in works]
+    return tuple(make(w) for w in works)
 
 
 def distant_pairs_programs(

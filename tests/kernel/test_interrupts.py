@@ -94,6 +94,12 @@ class TestLazyTicks:
                 made.append(self)
                 super().__post_init__()
 
+            @classmethod
+            def _trusted(cls, *fields):
+                event = super()._trusted(*fields)
+                made.append(event)
+                return event
+
         monkeypatch.setattr(interrupts, "KernelEvent", CountingEvent)
         system = System(SystemConfig(n_nodes=2, tick_hz=1000.0))
         stream = system._kernel_event_stream()
@@ -103,6 +109,52 @@ class TestLazyTicks:
         # One pending tick per CPU beyond those taken: the stream has no
         # horizon to build up front.
         assert len(made) <= len(first) + 8
+
+
+class _Listed:
+    """A source replaying a fixed, time-ordered event list."""
+
+    def __init__(self, *events):
+        self._events = events
+
+    def events(self):
+        return iter(self._events)
+
+
+class TestMergeOrder:
+    def test_equal_times_go_by_cpu_then_duration_then_kind(self):
+        tick = _Listed(
+            KernelEvent(0.5, 1, 3e-6, "tick"), KernelEvent(1.0, 0, 3e-6, "tick")
+        )
+        irq = _Listed(
+            KernelEvent(0.5, 0, 2e-5, "irq"), KernelEvent(1.0, 0, 3e-6, "irq")
+        )
+        noise = _Listed(
+            KernelEvent(0.5, 1, 1e-6, "noise:d"), KernelEvent(1.0, 0, 3e-6, "irq")
+        )
+        merged = [
+            (e.time, e.cpu, e.duration, e.kind)
+            for e in merge_sources([tick, irq, noise])
+        ]
+        assert merged == [
+            (0.5, 0, 2e-5, "irq"),
+            (0.5, 1, 1e-6, "noise:d"),
+            (0.5, 1, 3e-6, "tick"),
+            (1.0, 0, 3e-6, "irq"),
+            (1.0, 0, 3e-6, "irq"),
+            (1.0, 0, 3e-6, "tick"),
+        ]
+
+    def test_equal_events_keep_their_sources_order(self):
+        first = KernelEvent(0.25, 2, 1e-6, "irq")
+        second = KernelEvent(0.25, 2, 1e-6, "irq")
+        merged = list(merge_sources([_Listed(first), _Listed(second)]))
+        assert merged[0] is first and merged[1] is second
+
+    def test_source_built_events_equal_checked_ones(self):
+        ticks = _window(TimerTickSource([0, 1], hz=100.0), 0.05)
+        assert ticks == [KernelEvent(e.time, e.cpu, e.duration, e.kind) for e in ticks]
+        assert all(type(e) is KernelEvent for e in ticks)
 
 
 class TestInterruptSource:

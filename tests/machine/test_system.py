@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernel.kernel import PatchedLinux, StandardLinux
+from repro.kernel.noise import NoiseConfig
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
 from repro.smt.analytic import AnalyticThroughputModel
@@ -32,6 +33,20 @@ class TestConfig:
     def test_noise_entries_checked(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(noise=("loud",))
+
+    def test_two_daemons_with_one_name_on_one_cpu_rejected(self):
+        daemon = NoiseConfig("d", cpu=1, mean_period=0.05, mean_burst=0.01)
+        twin = NoiseConfig("d", cpu=1, mean_period=0.2, mean_burst=0.001)
+        with pytest.raises(ConfigurationError, match=r"'d' on cpu 1"):
+            SystemConfig(noise=(daemon, twin))
+        with pytest.raises(ConfigurationError, match=r"'d' on cpu 1"):
+            SystemConfig(noise=(daemon, daemon))
+
+    def test_daemons_differing_in_name_or_cpu_accepted(self):
+        daemon = NoiseConfig("d", cpu=1, mean_period=0.05, mean_burst=0.01)
+        other_cpu = NoiseConfig("d", cpu=2, mean_period=0.05, mean_burst=0.01)
+        other_name = NoiseConfig("e", cpu=1, mean_period=0.05, mean_burst=0.01)
+        assert len(SystemConfig(noise=(daemon, other_cpu, other_name)).noise) == 3
 
 
 class TestAssembly:

@@ -6,13 +6,18 @@ lookup, option validation, result provenance, and the guarantee that
 every registered backend accepts every scenario the generator draws.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.cluster.spec import TopologySpec
 from repro.errors import ConfigurationError
+from repro.machine.system import System, SystemConfig
 from repro.oracle.golden import default_records
 from repro.policies import TournamentConfig, run_tournament
 from repro.scenarios import (
     Engine,
+    FluidEngine,
     ScenarioGenerator,
     ScenarioSpec,
     all_engines,
@@ -208,6 +213,38 @@ class TestLazySummary:
 
         assert result(a) == result(a)
         assert result(a) != result(b)
+
+
+class TestFluidWarmSystems:
+    """The fluid engine keeps a bounded set of warm Systems per thread,
+    keyed without the spec's seed, which its machine never reads."""
+
+    def test_seeds_share_the_warm_systems_and_run_as_a_fresh_system(self):
+        engine = FluidEngine()
+        for seed in range(400):
+            spec = dataclasses.replace(SPEC, seed=seed)
+            fresh = System(SystemConfig(seed=seed)).run(
+                spec.programs(),
+                mapping=spec.mapping_obj(),
+                priorities=spec.priority_dict(),
+            )
+            assert engine.run(spec).digest == engines_module.trace_digest(fresh)
+        assert len(engine._systems) == 1
+
+    def test_distinct_topologies_stay_within_the_bound(self):
+        engine = FluidEngine()
+        bound = FluidEngine.SYSTEM_CACHE_SIZE
+        seen = []
+        for n_nodes in range(1, bound + 4):
+            engine.run(dataclasses.replace(SPEC, topology=TopologySpec(n_nodes)))
+            stats = engine._model_cache_stats()
+            seen.append((stats.hits, stats.misses))
+            assert len(engine._systems) == min(n_nodes, bound)
+        # An evicted System's memo counts stay in the pulled totals, and
+        # every new (cold) System adds misses.
+        assert all(
+            b[0] >= a[0] and b[1] > a[1] for a, b in zip(seen, seen[1:])
+        )
 
 
 class TestEveryBackendAcceptsEveryDraw:
