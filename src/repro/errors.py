@@ -150,10 +150,6 @@ class JobTimeoutError(ServiceError):
         super().__init__(f"job {job_id} exceeded its {kind} of {limit:.1f}s")
 
 
-class JobCancelledError(ServiceError):
-    """A job was cancelled before (or while) running."""
-
-
 class UnknownJobError(ServiceError):
     """A job id that the service has never issued (or has evicted)."""
 

@@ -1,8 +1,8 @@
 """A deterministic simulated MPI runtime.
 
-Rank programs are Python generators that ``yield`` operation descriptors
-(compute, barrier, isend/irecv, waitall, ...) built through the
-:class:`~repro.mpi.process.RankApi` handed to them — mirroring how an
+Rank programs are Python generators that ``yield`` operation records
+(compute, collective, point-to-point post, wait, priority change) built
+through the :class:`~repro.mpi.process.RankApi` handed to them — mirroring how an
 MPI-CH rank alternates computation with MPI calls. The
 :class:`~repro.mpi.runtime.MpiRuntime` advances all ranks through a
 fluid-rate discrete-event simulation whose compute speeds come from the
@@ -25,22 +25,10 @@ from repro.mpi.process import (
     RankApi,
     RankProgram,
     ComputeOp,
-    BarrierOp,
-    SendOp,
-    RecvOp,
-    SendrecvOp,
-    IsendOp,
-    IrecvOp,
+    CollectiveOp,
+    P2pOp,
     WaitOp,
-    WaitallOp,
     SetPriorityOp,
-    AllreduceOp,
-    BcastOp,
-    ReduceOp,
-    GatherOp,
-    ScatterOp,
-    AllgatherOp,
-    AlltoallOp,
 )
 from repro.mpi.runtime import MpiRuntime, RuntimeConfig, RunResult
 
@@ -58,22 +46,10 @@ __all__ = [
     "RankApi",
     "RankProgram",
     "ComputeOp",
-    "BarrierOp",
-    "SendOp",
-    "RecvOp",
-    "SendrecvOp",
-    "IsendOp",
-    "IrecvOp",
+    "CollectiveOp",
+    "P2pOp",
     "WaitOp",
-    "WaitallOp",
     "SetPriorityOp",
-    "AllreduceOp",
-    "BcastOp",
-    "ReduceOp",
-    "GatherOp",
-    "ScatterOp",
-    "AllgatherOp",
-    "AlltoallOp",
     "MpiRuntime",
     "RuntimeConfig",
     "RunResult",

@@ -18,8 +18,8 @@ the generator when the operation completes in simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Generator, Optional, Sequence, Tuple
 
 from repro.errors import MpiError, WorkloadError
 from repro.mpi.communicator import Communicator
@@ -29,29 +29,21 @@ from repro.trace.events import RankState
 
 __all__ = [
     "ComputeOp",
-    "BarrierOp",
-    "SendOp",
-    "RecvOp",
-    "SendrecvOp",
-    "IsendOp",
-    "IrecvOp",
+    "CollectiveOp",
+    "P2pOp",
     "WaitOp",
-    "WaitallOp",
     "SetPriorityOp",
-    "BcastOp",
-    "AllreduceOp",
-    "ReduceOp",
-    "GatherOp",
-    "ScatterOp",
-    "AllgatherOp",
-    "AlltoallOp",
-    "Op",
     "RankApi",
     "RankProgram",
 ]
 
 
-# -- operation descriptors -------------------------------------------------------
+# -- operation records -----------------------------------------------------------
+#
+# Five records, one per family, matching the three kinds of rank time a
+# trace shows: compute (COMPUTE/INIT/FINAL), communication (COMM, a
+# blocking point-to-point post) and synchronisation (SYNC, a collective
+# or a wait). The runtime dispatches on their exact type.
 
 
 @dataclass(frozen=True)
@@ -71,14 +63,17 @@ class ComputeOp:
 
 
 @dataclass(frozen=True)
-class BarrierOp:
-    comm: Optional[Communicator] = None  # None = MPI_COMM_WORLD
+class CollectiveOp:
+    """Enter the next collective ``kind`` (``"barrier"``, ``"bcast"``,
+    ...) on ``comm`` (``None``: ``MPI_COMM_WORLD``) with an ``nbytes``
+    payload. The rank waits in SYNC until every member has arrived."""
 
-
-@dataclass(frozen=True)
-class _CollectiveOp:
-    comm: Optional[Communicator]
-    nbytes: int
+    kind: str
+    nbytes: int = 0
+    comm: Optional[Communicator] = None
+    #: The rooted collectives' root, a rank of ``comm`` (checked by
+    #: :class:`RankApi`; the cost model does not depend on it).
+    root: int = 0
 
     def __post_init__(self) -> None:
         if self.nbytes < 0:
@@ -86,87 +81,37 @@ class _CollectiveOp:
 
 
 @dataclass(frozen=True)
-class BcastOp(_CollectiveOp):
-    root: int = 0
+class P2pOp:
+    """Post a send ``(dest, tag, nbytes)``, a receive ``(source, tag)``,
+    or both, the send first.
 
+    A nonblocking post (one side only) resumes the rank with its
+    :class:`Request`. A blocking post waits in COMM for both sides to
+    complete and resumes with the receive's :class:`Status` (``None``
+    for a send alone); with both sides it is ``MPI_Sendrecv``, a
+    deadlock-free pairwise exchange.
+    """
 
-@dataclass(frozen=True)
-class ReduceOp(_CollectiveOp):
-    root: int = 0
+    send: Optional[Tuple[int, int, int]]
+    recv: Optional[Tuple[int, int]]
+    blocking: bool
 
-
-@dataclass(frozen=True)
-class AllreduceOp(_CollectiveOp):
-    pass
-
-
-@dataclass(frozen=True)
-class GatherOp(_CollectiveOp):
-    root: int = 0
-
-
-@dataclass(frozen=True)
-class ScatterOp(_CollectiveOp):
-    root: int = 0
-
-
-@dataclass(frozen=True)
-class AllgatherOp(_CollectiveOp):
-    pass
-
-
-@dataclass(frozen=True)
-class AlltoallOp(_CollectiveOp):
-    pass
-
-
-@dataclass(frozen=True)
-class SendrecvOp:
-    """Combined blocking send+receive (``MPI_Sendrecv``): post both, wait
-    for both; deadlock-free pairwise exchange. Resumes with the receive's
-    :class:`Status`."""
-
-    dest: int
-    send_tag: int
-    nbytes: int
-    source: int
-    recv_tag: int
-
-
-@dataclass(frozen=True)
-class SendOp:
-    dest: int
-    tag: int
-    nbytes: int
-
-
-@dataclass(frozen=True)
-class RecvOp:
-    source: int
-    tag: int
-
-
-@dataclass(frozen=True)
-class IsendOp:
-    dest: int
-    tag: int
-    nbytes: int
-
-
-@dataclass(frozen=True)
-class IrecvOp:
-    source: int
-    tag: int
+    def __post_init__(self) -> None:
+        sides = (self.send is not None) + (self.recv is not None)
+        if sides == 0 or (sides == 2 and not self.blocking):
+            raise MpiError(
+                "a post needs a send or a receive, and a nonblocking one exactly one"
+            )
 
 
 @dataclass(frozen=True)
 class WaitOp:
-    request: Request
+    """Wait in SYNC until every request in ``requests`` completes; resume
+    with ``single``'s status (``MPI_Wait``) or ``None`` when ``single``
+    is ``None`` (``MPI_Waitall``)."""
 
-
-@dataclass(frozen=True)
-class WaitallOp:
     requests: Tuple[Request, ...]
+    single: Optional[Request]
 
 
 @dataclass(frozen=True)
@@ -187,28 +132,8 @@ class SetPriorityOp:
             raise MpiError(f"SetPriorityOp.via must be 'or-nop' or 'procfs', got {self.via!r}")
 
 
-Op = Union[
-    ComputeOp,
-    BarrierOp,
-    BcastOp,
-    ReduceOp,
-    AllreduceOp,
-    GatherOp,
-    ScatterOp,
-    AllgatherOp,
-    AlltoallOp,
-    SendOp,
-    RecvOp,
-    SendrecvOp,
-    IsendOp,
-    IrecvOp,
-    WaitOp,
-    WaitallOp,
-    SetPriorityOp,
-]
-
 #: The generator type a rank program body produces.
-RankProgram = Callable[["RankApi"], Generator[Op, object, None]]
+RankProgram = Callable[["RankApi"], Generator[object, object, None]]
 
 
 # -- the per-rank API ---------------------------------------------------------------
@@ -252,45 +177,53 @@ class RankApi:
 
     # collectives -------------------------------------------------------------
 
-    def barrier(self, comm: Optional[Communicator] = None) -> BarrierOp:
-        return BarrierOp(comm)
+    def barrier(self, comm: Optional[Communicator] = None) -> CollectiveOp:
+        return CollectiveOp("barrier", 0, comm)
+
+    def _rooted(
+        self, kind: str, nbytes: int, root: int, comm: Optional[Communicator]
+    ) -> CollectiveOp:
+        size = self.size if comm is None else comm.size
+        if not 0 <= root < size:
+            raise MpiError(f"{kind} root {root} out of range 0..{size - 1}")
+        return CollectiveOp(kind, nbytes, comm, root)
 
     def bcast(
         self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None
-    ) -> BcastOp:
-        return BcastOp(comm, nbytes, root)
+    ) -> CollectiveOp:
+        return self._rooted("bcast", nbytes, root, comm)
 
     def reduce(
         self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None
-    ) -> ReduceOp:
-        return ReduceOp(comm, nbytes, root)
+    ) -> CollectiveOp:
+        return self._rooted("reduce", nbytes, root, comm)
 
-    def allreduce(self, nbytes: int, comm: Optional[Communicator] = None) -> AllreduceOp:
-        return AllreduceOp(comm, nbytes)
+    def allreduce(self, nbytes: int, comm: Optional[Communicator] = None) -> CollectiveOp:
+        return CollectiveOp("allreduce", nbytes, comm)
 
     def gather(
         self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None
-    ) -> GatherOp:
-        return GatherOp(comm, nbytes, root)
+    ) -> CollectiveOp:
+        return self._rooted("gather", nbytes, root, comm)
 
     def scatter(
         self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None
-    ) -> ScatterOp:
-        return ScatterOp(comm, nbytes, root)
+    ) -> CollectiveOp:
+        return self._rooted("scatter", nbytes, root, comm)
 
-    def allgather(self, nbytes: int, comm: Optional[Communicator] = None) -> AllgatherOp:
-        return AllgatherOp(comm, nbytes)
+    def allgather(self, nbytes: int, comm: Optional[Communicator] = None) -> CollectiveOp:
+        return CollectiveOp("allgather", nbytes, comm)
 
-    def alltoall(self, nbytes: int, comm: Optional[Communicator] = None) -> AlltoallOp:
-        return AlltoallOp(comm, nbytes)
+    def alltoall(self, nbytes: int, comm: Optional[Communicator] = None) -> CollectiveOp:
+        return CollectiveOp("alltoall", nbytes, comm)
 
     # point-to-point ---------------------------------------------------------------
 
-    def send(self, dest: int, tag: int, nbytes: int) -> SendOp:
-        return SendOp(dest, tag, nbytes)
+    def send(self, dest: int, tag: int, nbytes: int) -> P2pOp:
+        return P2pOp((dest, tag, nbytes), None, True)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvOp:
-        return RecvOp(source, tag)
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> P2pOp:
+        return P2pOp(None, (source, tag), True)
 
     def sendrecv(
         self,
@@ -299,20 +232,20 @@ class RankApi:
         nbytes: int,
         source: int = ANY_SOURCE,
         recv_tag: int = ANY_TAG,
-    ) -> SendrecvOp:
-        return SendrecvOp(dest, send_tag, nbytes, source, recv_tag)
+    ) -> P2pOp:
+        return P2pOp((dest, send_tag, nbytes), (source, recv_tag), True)
 
-    def isend(self, dest: int, tag: int, nbytes: int) -> IsendOp:
-        return IsendOp(dest, tag, nbytes)
+    def isend(self, dest: int, tag: int, nbytes: int) -> P2pOp:
+        return P2pOp((dest, tag, nbytes), None, False)
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> IrecvOp:
-        return IrecvOp(source, tag)
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> P2pOp:
+        return P2pOp(None, (source, tag), False)
 
     def wait(self, request: Request) -> WaitOp:
-        return WaitOp(request)
+        return WaitOp((request,), request)
 
-    def waitall(self, requests: Sequence[Request]) -> WaitallOp:
-        return WaitallOp(tuple(requests))
+    def waitall(self, requests: Sequence[Request]) -> WaitOp:
+        return WaitOp(tuple(requests), None)
 
     # priority control -----------------------------------------------------------
 

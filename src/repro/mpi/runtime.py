@@ -53,26 +53,13 @@ from repro.mpi.collectives import CollectiveManager
 from repro.mpi.communicator import Communicator
 from repro.mpi.p2p import CommCosts, MessageEngine
 from repro.mpi.process import (
-    AllgatherOp,
-    AllreduceOp,
-    AlltoallOp,
-    BarrierOp,
-    BcastOp,
+    CollectiveOp,
     ComputeOp,
-    GatherOp,
-    IrecvOp,
-    IsendOp,
-    Op,
+    P2pOp,
     RankApi,
     RankProgram,
-    RecvOp,
-    ReduceOp,
-    ScatterOp,
-    SendOp,
-    SendrecvOp,
     SetPriorityOp,
     WaitOp,
-    WaitallOp,
 )
 from repro.mpi.request import Request
 from repro.mpi.status import Status
@@ -190,7 +177,7 @@ class _Proc:
         self,
         rank: int,
         slot: Tuple[int, int, int],
-        gen: Generator[Op, object, None],
+        gen: Generator[object, object, None],
         timeline,
         loads: List[Optional[LoadProfile]],
         group: int,
@@ -544,102 +531,25 @@ class MpiRuntime:
                 self._on_done(proc)
                 return
             proc.resume_value = None
-            # Exact-type fast paths for the two ops that dominate HPC
-            # phase structure; isinstance keeps subclasses working below.
             op_type = type(op)
             if op_type is ComputeOp:
                 self._start_compute(proc, op)
                 return
-            if op_type is BarrierOp:
+            if op_type is CollectiveOp:
                 self._start_collective(proc, op)
                 return
-            if isinstance(op, ComputeOp):
-                self._start_compute(proc, op)
-                return
-            if isinstance(
-                op,
-                (
-                    BarrierOp,
-                    BcastOp,
-                    ReduceOp,
-                    AllreduceOp,
-                    GatherOp,
-                    ScatterOp,
-                    AllgatherOp,
-                    AlltoallOp,
-                ),
-            ):
-                self._start_collective(proc, op)
-                return
-            if isinstance(op, IsendOp):
-                req, completions = self.engine.post_send(
-                    proc.rank, op.dest, op.tag, op.nbytes, self.now
-                )
-                self._register(proc, req, completions)
-                proc.resume_value = req
-                continue
-            if isinstance(op, IrecvOp):
-                req, completions = self.engine.post_recv(
-                    proc.rank, op.source, op.tag, self.now
-                )
-                self._register(proc, req, completions)
-                proc.resume_value = req
-                continue
-            if isinstance(op, SendOp):
-                req, completions = self.engine.post_send(
-                    proc.rank, op.dest, op.tag, op.nbytes, self.now
-                )
-                self._register(proc, req, completions)
-                if req.done:
-                    proc.resume_value = None
-                    continue
-                self._block_on(proc, [req], single=None, state=RankState.COMM)
-                return
-            if isinstance(op, RecvOp):
-                req, completions = self.engine.post_recv(
-                    proc.rank, op.source, op.tag, self.now
-                )
-                self._register(proc, req, completions)
-                if req.done:
-                    proc.resume_value = req.status
-                    continue
-                self._block_on(proc, [req], single=req, state=RankState.COMM)
-                return
-            if isinstance(op, SendrecvOp):
-                sreq, s_completions = self.engine.post_send(
-                    proc.rank, op.dest, op.send_tag, op.nbytes, self.now
-                )
-                self._register(proc, sreq, s_completions)
-                rreq, r_completions = self.engine.post_recv(
-                    proc.rank, op.source, op.recv_tag, self.now
-                )
-                self._register(proc, rreq, r_completions)
-                pending = [r for r in (sreq, rreq) if not r.done]
-                if not pending:
-                    proc.resume_value = rreq.status
-                    continue
-                self._block_on(proc, pending, single=rreq, state=RankState.COMM)
-                return
-            if isinstance(op, WaitOp):
-                op.request.check_waitable()
-                if op.request.done:
-                    proc.resume_value = op.request.status
-                    continue
-                self._block_on(proc, [op.request], single=op.request, state=RankState.SYNC)
-                return
-            if isinstance(op, WaitallOp):
+            if op_type is P2pOp:
+                if self._post(proc, op):
+                    return
+            elif op_type is WaitOp:
                 for r in op.requests:
                     r.check_waitable()
-                pending = [r for r in op.requests if not r.done]
-                if not pending:
-                    proc.resume_value = None
-                    continue
-                self._block_on(proc, pending, single=None, state=RankState.SYNC)
-                return
-            if isinstance(op, SetPriorityOp):
+                if self._await(proc, op.requests, op.single, RankState.SYNC):
+                    return
+            elif op_type is SetPriorityOp:
                 self._apply_priority(proc, op)
-                continue
-            raise SimulationError(f"rank {proc.rank} yielded unknown op {op!r}")
+            else:
+                raise SimulationError(f"rank {proc.rank} yielded unknown op {op!r}")
 
     def _start_compute(self, proc: _Proc, op: ComputeOp) -> None:
         profile = BASE_PROFILES.get(op.profile)
@@ -664,32 +574,47 @@ class MpiRuntime:
             proc.rate = ipc * self.chip.config.freq_hz
         self._set_trace(proc, op.state)
 
-    _COLLECTIVE_KINDS = {
-        BcastOp: "bcast",
-        ReduceOp: "reduce",
-        AllreduceOp: "allreduce",
-        GatherOp: "gather",
-        ScatterOp: "scatter",
-        AllgatherOp: "allgather",
-        AlltoallOp: "alltoall",
-    }
-
-    def _start_collective(self, proc: _Proc, op) -> None:
-        comm = op.comm or self.world
-        if isinstance(op, BarrierOp):
-            kind, nbytes = "barrier", 0
-        else:
-            kind, nbytes = self._COLLECTIVE_KINDS[type(op)], op.nbytes
-        outcome = self.collectives.arrive(comm, proc.rank, kind, nbytes, self.now)
-        proc.state = _PState.BLOCKED
-        proc.awaiting = _NO_REQUESTS
-        proc.single_wait = None
-        proc.released = False
-        proc.blocked_trace_state = RankState.SYNC
-        self._wait_posture(proc, RankState.SYNC)
+    def _start_collective(self, proc: _Proc, op: CollectiveOp) -> None:
+        outcome = self.collectives.arrive(
+            op.comm or self.world, proc.rank, op.kind, op.nbytes, self.now
+        )
+        self._block(proc, _NO_REQUESTS, None, RankState.SYNC)
         if outcome is not None:
             release_time, ranks = outcome
             self._push(release_time, "coll", tuple(ranks))
+
+    def _post(self, proc: _Proc, op: P2pOp) -> bool:
+        """Post ``op``'s send, then its receive; True if the rank blocked."""
+        sreq = rreq = None
+        if op.send is not None:
+            sreq, completions = self.engine.post_send(proc.rank, *op.send, self.now)
+            self._register(proc, sreq, completions)
+        if op.recv is not None:
+            rreq, completions = self.engine.post_recv(proc.rank, *op.recv, self.now)
+            self._register(proc, rreq, completions)
+        if not op.blocking:
+            proc.resume_value = rreq if sreq is None else sreq
+            return False
+        posted = [r for r in (sreq, rreq) if r is not None]
+        return self._await(proc, posted, rreq, RankState.COMM)
+
+    def _await(
+        self,
+        proc: _Proc,
+        requests: Sequence[Request],
+        single: Optional[Request],
+        state: RankState,
+    ) -> bool:
+        """Block ``proc`` in ``state`` on the pending ``requests``; True if
+        it blocked, else its resume value is ``single``'s status."""
+        pending = [r for r in requests if not r.done]
+        if not pending:
+            proc.resume_value = None if single is None else single.status
+            return False
+        for r in pending:
+            self._by_request[r.id] = proc
+        self._block(proc, {r.id for r in pending}, single, state)
+        return True
 
     def _register(
         self,
@@ -701,20 +626,20 @@ class MpiRuntime:
         for time, r, status in completions:
             self._push(max(time, self.now), "req", (r, status))
 
-    def _block_on(
+    def _block(
         self,
         proc: _Proc,
-        requests: Sequence[Request],
+        awaiting: AbstractSet[int],
         single: Optional[Request],
         state: RankState,
     ) -> None:
+        """Block ``proc`` in ``state`` until the ``awaiting`` request ids
+        complete (none: until a collective releases it)."""
         proc.state = _PState.BLOCKED
-        proc.awaiting = {r.id for r in requests}
+        proc.awaiting = awaiting
         proc.single_wait = single
         proc.released = False
         proc.blocked_trace_state = state
-        for r in requests:
-            self._by_request[r.id] = proc
         self._wait_posture(proc, state)
 
     def _wait_posture(self, proc: _Proc, state: RankState) -> None:

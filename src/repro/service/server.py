@@ -67,6 +67,9 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve/1"
+        # Headers and body leave as separate writes; with Nagle on, the
+        # body waits for the peer's delayed ACK on a kept-alive socket.
+        disable_nagle_algorithm = True
 
         # -- plumbing ---------------------------------------------------------
 

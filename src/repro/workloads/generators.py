@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.mpi.process import BarrierOp, ComputeOp, RankApi, RankProgram
+from repro.mpi.process import CollectiveOp, ComputeOp, RankApi, RankProgram
 from repro.workloads.base import WorkVector, validate_works
 
 __all__ = [
@@ -84,7 +84,7 @@ def _barrier_loop(
     if iterations <= 0:
         raise WorkloadError(f"iterations must be > 0, got {iterations}")
 
-    barrier = BarrierOp()
+    barrier = CollectiveOp("barrier")
 
     def make(rank_work: float) -> RankProgram:
         # Operations are immutable values, so one of each serves every

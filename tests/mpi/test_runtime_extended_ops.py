@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.errors import MpiError
 from repro.machine.mapping import ProcessMapping
 from repro.mpi.communicator import Communicator
+from repro.mpi.process import P2pOp, RankApi
 from repro.mpi.status import Status
 
 
@@ -118,3 +120,41 @@ class TestMoreCollectives:
 
         result = run(system, [prog, prog, prog, prog])
         assert result.total_time > 0
+
+
+class TestRootedCollectiveRoots:
+    """A rooted collective's root must be a rank of its communicator."""
+
+    ROOTED = ["bcast", "reduce", "gather", "scatter"]
+
+    @pytest.mark.parametrize("op_name", ROOTED)
+    @pytest.mark.parametrize("root", [-1, 4, 99])
+    def test_world_root_outside_the_world_raises(self, op_name, root):
+        with pytest.raises(MpiError, match="root"):
+            getattr(RankApi(0, 4), op_name)(8, root=root)
+
+    @pytest.mark.parametrize("op_name", ROOTED)
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_sub_communicator_root_is_checked_against_its_size(self, op_name, root):
+        pair = Communicator([0, 1], name="pair")
+        with pytest.raises(MpiError, match="root"):
+            getattr(RankApi(0, 4), op_name)(8, root=root, comm=pair)
+
+    @pytest.mark.parametrize("op_name", ROOTED)
+    def test_every_valid_root_is_accepted(self, op_name):
+        api = RankApi(0, 4)
+        for root in range(4):
+            assert getattr(api, op_name)(8, root=root).root == root
+        pair = Communicator([2, 3], name="pair")
+        assert getattr(api, op_name)(8, root=1, comm=pair).root == 1
+
+
+class TestP2pPost:
+    def test_a_post_needs_a_send_or_a_receive(self):
+        with pytest.raises(MpiError):
+            P2pOp(None, None, True)
+
+    def test_a_nonblocking_post_has_exactly_one_side(self):
+        with pytest.raises(MpiError):
+            P2pOp((1, 0, 8), (1, 0), False)
+        assert P2pOp((1, 0, 8), (1, 0), True).recv == (1, 0)

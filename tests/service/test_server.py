@@ -1,6 +1,8 @@
 """HTTP API round-trips against a live (ephemeral-port) server."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -168,6 +170,27 @@ class TestProtocol:
         for key in ("queue", "cache", "jobs", "counters", "latency"):
             assert key in metrics
         assert metrics["cache"]["entries"] == 0
+
+    def test_kept_alive_connection_answers_without_a_delayed_ack_stall(
+        self, live_server
+    ):
+        """Replies on a reused connection must not wait for the client's
+        delayed ACK (a 40 ms floor on Linux) between header and body."""
+        base = live_server(ScenarioService(ServiceConfig(workers=1)))
+        host, port = base[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=WAIT)
+        try:
+            elapsed = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
 
     def test_bad_requests(self, live_server):
         base = live_server(ScenarioService(ServiceConfig(workers=1)))
