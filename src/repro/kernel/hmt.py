@@ -148,7 +148,7 @@ class HmtController:
 
     def priorities(self) -> Tuple[HardwarePriority, ...]:
         """All logical CPUs' current priorities, by cpu id."""
-        return tuple(self.chip.priority(cpu) for cpu in self.chip.cpus)
+        return tuple(map(HardwarePriority, self.chip.priorities))
 
     def last_write(self, cpu: Optional[int] = None) -> Optional[PriorityWrite]:
         """Most recent write (optionally restricted to one cpu)."""

@@ -2,16 +2,16 @@
 
 The paper runs exactly one MPI rank per logical CPU ("process Pi is
 assigned to CPUi") — HPC practice on SMT machines. The scheduler is
-therefore a bijective pin table plus idle bookkeeping; there is no
-time-sharing to model. It still earns its keep: the procfs interface
-resolves PIDs through it, experiments express the paper's *mapping*
-variations (which rank shares a core with which) through it, and the
-kernel model consults it to lower the priority of idle CPUs.
+therefore a bijective pin table; there is no time-sharing to model. It
+still earns its keep: the kernel pins each rank through it at launch,
+and the procfs interface and static priority writes resolve PIDs to
+CPUs through it. (An exiting rank's CPU reaches the kernel's idle hook
+from the MPI runtime, not from this table.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.errors import MappingError
 
@@ -39,33 +39,12 @@ class PinnedScheduler:
         self._pid_to_cpu[pid] = cpu
         self._cpu_to_pid[cpu] = pid
 
-    def unpin(self, pid: int) -> None:
-        """Remove ``pid``'s pin (process exit)."""
-        cpu = self._pid_to_cpu.pop(pid, None)
-        if cpu is None:
-            raise MappingError(f"pid {pid} is not pinned")
-        del self._cpu_to_pid[cpu]
-
     def cpu_of(self, pid: int) -> int:
         """The CPU ``pid`` is pinned to."""
         try:
             return self._pid_to_cpu[pid]
         except KeyError:
             raise MappingError(f"pid {pid} is not pinned") from None
-
-    def pid_on(self, cpu: int) -> Optional[int]:
-        """The PID pinned to ``cpu``, or None if the CPU is idle."""
-        if not 0 <= cpu < self.n_cpus:
-            raise MappingError(f"cpu {cpu} out of range 0..{self.n_cpus - 1}")
-        return self._cpu_to_pid.get(cpu)
-
-    @property
-    def idle_cpus(self) -> List[int]:
-        return [c for c in range(self.n_cpus) if c not in self._cpu_to_pid]
-
-    @property
-    def pids(self) -> List[int]:
-        return sorted(self._pid_to_cpu)
 
     def __contains__(self, pid: int) -> bool:
         return pid in self._pid_to_cpu

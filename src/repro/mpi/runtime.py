@@ -169,7 +169,6 @@ class _Proc:
         "blocked_trace_state",
         "noise_resume",
         "released",
-        "loads",
         "group",
     )
 
@@ -179,14 +178,11 @@ class _Proc:
         slot: Tuple[int, int, int],
         gen: Generator[object, object, None],
         timeline,
-        loads: List[Optional[LoadProfile]],
         group: int,
     ) -> None:
         self.rank = rank
         self.cpu, self.core_idx, self.thread = slot
-        #: Its core's context loads (written at ``thread``), and the core
-        #: group a change to them dirties.
-        self.loads = loads
+        #: The core group a change to its context's load dirties.
         self.group = group
         self.gen = gen
         self.state = _PState.READY
@@ -354,11 +350,9 @@ class MpiRuntime:
         )
         self._noise_profile = BASE_PROFILES[self.config.noise_profile]
 
-        cores = chip.cores
         group_of_core = layout.group_of_core
         self._procs: List[_Proc] = [
-            _Proc(rank, slot, prog(api), timeline, cores[slot[1]]._loads,
-                  group_of_core[slot[1]])
+            _Proc(rank, slot, prog(api), timeline, group_of_core[slot[1]])
             for rank, (prog, slot, api, timeline) in enumerate(
                 zip(programs, layout.slots, layout.apis, self.trace)
             )
@@ -372,8 +366,10 @@ class MpiRuntime:
         self._next_kernel: Optional[KernelEvent] = None
         # Rate recomputation is tracked per core group (per node): a
         # priority write or load change on one chip only re-solves that
-        # chip's IPC.
-        self._cores = chip.cores
+        # chip's IPC. Core ``i``'s contexts are CPUs ``2i`` and ``2i + 1``
+        # of the chip's per-CPU load and priority slots.
+        self._load_slots = chip.loads
+        self._prio_slots = chip.priorities
         self._core_groups = layout.core_groups
         self._group_spans = layout.group_spans
         self._group_of_core = layout.group_of_core
@@ -381,7 +377,7 @@ class MpiRuntime:
         #: Per core, its chip-memo state ``(load_a, load_b, prio_a,
         #: prio_b)`` and the same with loads by name, rebuilt at a
         #: re-solve only for the cores changed since the last one.
-        n_cores = len(self._cores)
+        n_cores = chip.n_cores
         self._core_states: List[tuple] = [()] * n_cores
         self._core_names: List[tuple] = [()] * n_cores
         self._stale_cores: Set[int] = set(range(n_cores))
@@ -396,7 +392,7 @@ class MpiRuntime:
         self.group_recompute_counts: List[int] = [0] * len(self._core_groups)
         self.events_processed = 0
         self._finished = 0
-        self._priorities = priorities
+        self._static_priorities = priorities
         #: Periodic controllers (e.g. the dynamic balancer): objects with
         #: an ``interval`` in seconds and an ``on_tick(runtime, now)``
         #: method, invoked at each multiple of their interval.
@@ -458,7 +454,7 @@ class MpiRuntime:
 
     def _mark_all_dirty(self) -> None:
         self._dirty_groups.update(range(len(self._core_groups)))
-        self._stale_cores.update(range(len(self._cores)))
+        self._stale_cores.update(range(self.chip.n_cores))
 
     def _mark_dirty_cpu(self, cpu: int) -> None:
         if self._incremental:
@@ -471,13 +467,13 @@ class MpiRuntime:
         self._set_load(proc, BASE_PROFILES[name] if name is not None else None)
 
     def _set_load(self, proc: _Proc, profile: Optional[LoadProfile]) -> None:
-        # Hot path: ``proc.thread`` is 0/1 by construction and ``profile``
-        # comes from the validated profile table, so skip SmtCore's
-        # per-call checks and write the context slot directly.
-        loads = proc.loads
-        if loads[proc.thread] is profile:
+        # Hot path: ``proc.cpu`` is in range by construction and
+        # ``profile`` comes from the validated profile table, so write the
+        # context slot directly.
+        loads = self._load_slots
+        if loads[proc.cpu] is profile:
             return  # no state change (e.g. re-installing the spin posture)
-        loads[proc.thread] = profile
+        loads[proc.cpu] = profile
         if self._incremental:
             self._dirty_groups.add(proc.group)
             self._stale_cores.add(proc.core_idx)
@@ -490,12 +486,16 @@ class MpiRuntime:
             proc.trace_state = state
 
     def _recompute_rates(self) -> None:
-        cores = self._cores
+        loads = self._load_slots
+        prios = self._prio_slots
         states = self._core_states
         names = self._core_names
         for i in self._stale_cores:
-            load_a, load_b = cores[i]._loads
-            prio_a, prio_b = cores[i]._priorities
+            cpu = 2 * i
+            load_a = loads[cpu]
+            load_b = loads[cpu + 1]
+            prio_a = prios[cpu]
+            prio_b = prios[cpu + 1]
             states[i] = (load_a, load_b, prio_a, prio_b)
             names[i] = (load_a.name if load_a else None,
                         load_b.name if load_b else None, prio_a, prio_b)
@@ -660,7 +660,7 @@ class MpiRuntime:
         self._finished += 1
         # The context empties and the kernel lowers its priority: either
         # way its core's rates are stale, as marked below.
-        proc.loads[proc.thread] = None
+        self._load_slots[proc.cpu] = None
         self._set_trace(proc, RankState.IDLE)
         self.kernel.on_cpu_idle(proc.cpu, self.now)
         self._mark_dirty_cpu(proc.cpu)
@@ -771,7 +771,7 @@ class MpiRuntime:
         telemetry = self._telemetry
         t_run0 = _time.perf_counter() if telemetry is not None else 0.0
         # Process launch: pins, MEDIUM resets, then the static priorities.
-        self.kernel.launch(self.mapping, self._priorities, 0.0)
+        self.kernel.launch(self.mapping, self._static_priorities, 0.0)
         for i, ctrl in enumerate(self._controllers):
             interval = float(getattr(ctrl, "interval"))
             check_positive("controller.interval", interval)
@@ -896,10 +896,7 @@ class MpiRuntime:
             total_time=self.now,
             events_processed=self.events_processed,
             priority_history_len=len(self.hmt.history),
-            # By CPU: core ``i``'s contexts are CPUs ``2i`` and ``2i + 1``.
-            final_priorities=tuple(
-                [prio for core in self._cores for prio in core._priorities]
-            ),
+            final_priorities=tuple(self._prio_slots),
         )
         if oracle is not None:
             oracle.on_finish(result)

@@ -86,10 +86,11 @@ MAPPINGS = ("identity", "btmz", "siesta", "st")
 _N_CPUS = ChipConfig().n_cpus
 
 #: The rank->cpu dict of each fixed-size preset ("identity" is handled
-#: by shape, not by table — it exists at every rank count).
+#: by shape, not by table — it exists at every rank count). The paper's
+#: re-pairings come from their one definition in ``paper_mapping``.
 _PRESET_DICTS = {
-    "btmz": {0: 0, 1: 2, 2: 3, 3: 1},
-    "siesta": {0: 2, 1: 0, 2: 1, 3: 3},
+    "btmz": paper_mapping("btmz").as_dict(),
+    "siesta": paper_mapping("siesta").as_dict(),
     "st": {0: 0, 1: 2},
 }
 

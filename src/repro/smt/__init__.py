@@ -13,8 +13,8 @@ Layers, from definition to measurement:
 * :mod:`repro.smt.instructions`, :mod:`repro.smt.functional_units`,
   :mod:`repro.smt.resources`, :mod:`repro.smt.cache` — the synthetic
   instruction streams and the shared back-end they contend for.
-* :mod:`repro.smt.pipeline`, :mod:`repro.smt.core`,
-  :mod:`repro.smt.chip` — the cycle-level core and chip models.
+* :mod:`repro.smt.pipeline` — the cycle-level core model;
+  :mod:`repro.smt.chip` — the chip's per-CPU priority and load slots.
 * :mod:`repro.smt.throughput`, :mod:`repro.smt.analytic` — per-thread
   throughput as a function of (load pair, priority pair): measured from
   the cycle simulator (memoised) or from a closed-form model.
@@ -43,8 +43,7 @@ from repro.smt.functional_units import FunctionalUnitSpec, FunctionalUnitPool, P
 from repro.smt.resources import SharedResourcePool, ResourceSpec, POWER5_RESOURCES
 from repro.smt.cache import CacheLevel, CacheHierarchy, MemorySpec, POWER5_CACHES
 from repro.smt.pipeline import CorePipeline, PipelineConfig, ThreadPerfCounters
-from repro.smt.core import SmtCore, CoreSnapshot
-from repro.smt.chip import Power5Chip, ChipConfig, HardwareContextId
+from repro.smt.chip import Power5Chip, ChipConfig
 from repro.smt.throughput import ThroughputTable, ThroughputResult
 from repro.smt.analytic import AnalyticThroughputModel
 
@@ -79,11 +78,8 @@ __all__ = [
     "CorePipeline",
     "PipelineConfig",
     "ThreadPerfCounters",
-    "SmtCore",
-    "CoreSnapshot",
     "Power5Chip",
     "ChipConfig",
-    "HardwareContextId",
     "ThroughputTable",
     "ThroughputResult",
     "AnalyticThroughputModel",

@@ -1,53 +1,30 @@
 """The POWER5 chip: two SMT cores behind a shared L2/L3.
 
-Hardware contexts are addressed two ways:
+Hardware contexts are addressed by flat *logical CPU* id, matching how
+Linux enumerates them and how the paper labels processes (``P1`` on
+``CPU0`` = core 0 thread 0, ...): core ``i``'s two contexts are CPUs
+``2i`` and ``2i + 1``.
 
-* ``(core, thread)`` pairs inside the SMT layer, and
-* flat *logical CPU* ids 0..3, matching how Linux enumerates them and how
-  the paper labels processes (``P1`` on ``CPU0`` = core 0 thread 0, ...).
-
-:class:`Power5Chip` owns the cores and the translation between the two
-addressings; the kernel scheduler and the MPI runtime talk logical CPUs.
-A machine of several nodes is the same object with ``n_nodes`` chips'
-cores in one flat list: node ``k`` owns global CPUs
-``k * cpus_per_node ..`` and its cores form one ``core_groups`` entry,
-the domain the throughput model couples over (a shared L2 never spans
-nodes).
+:class:`Power5Chip` holds each context's state in one per-CPU slot: its
+running load and its hardware priority. A machine of several nodes is
+the same object with ``n_nodes`` chips' CPUs in one flat range: node
+``k`` owns global CPUs ``k * cpus_per_node ..`` and its cores form one
+``core_groups`` entry, the domain the throughput model couples over (a
+shared L2 never spans nodes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.smt.core import CoreSnapshot, SmtCore
 from repro.smt.instructions import LoadProfile
-from repro.smt.priorities import HardwarePriority
+from repro.smt.priorities import DEFAULT_PRIORITY, HardwarePriority
 from repro.util.units import POWER5_FREQ_HZ
 from repro.util.validation import check_positive
 
-__all__ = ["HardwareContextId", "ChipConfig", "Power5Chip"]
-
-
-@dataclass(frozen=True, order=True)
-class HardwareContextId:
-    """Address of one hardware context: ``(core, thread)``."""
-
-    core: int
-    thread: int
-
-    def __post_init__(self) -> None:
-        if self.core < 0 or self.thread < 0:
-            raise ConfigurationError(f"invalid hardware context {self}")
-
-    @property
-    def sibling(self) -> "HardwareContextId":
-        """The other context on the same core."""
-        return HardwareContextId(self.core, 1 - self.thread)
-
-    def __str__(self) -> str:
-        return f"core{self.core}.t{self.thread}"
+__all__ = ["ChipConfig", "Power5Chip"]
 
 
 @dataclass(frozen=True)
@@ -55,35 +32,32 @@ class ChipConfig:
     """Static chip parameters (the paper's machine is the default)."""
 
     n_cores: int = 2
-    threads_per_core: int = 2
     freq_hz: float = POWER5_FREQ_HZ
 
     def __post_init__(self) -> None:
         check_positive("n_cores", self.n_cores)
-        if self.threads_per_core != 2:
-            raise ConfigurationError(
-                "the POWER5 model supports exactly 2 threads per core"
-            )
         check_positive("freq_hz", self.freq_hz)
 
     @property
     def n_cpus(self) -> int:
-        """Number of logical CPUs the OS sees."""
-        return self.n_cores * self.threads_per_core
+        """Number of logical CPUs the OS sees (two contexts per core)."""
+        return 2 * self.n_cores
 
 
 class Power5Chip:
-    """The :class:`~repro.smt.core.SmtCore` instances of one chip per
-    node, addressed by global logical CPU (one node, the default, is the
-    paper's machine).
+    """Per-CPU hardware-context state of one chip per node, addressed by
+    global logical CPU (one node, the default, is the paper's machine).
+
+    ``loads[cpu]`` is the load profile running on that context (``None``
+    when idle) and ``priorities[cpu]`` its hardware priority as a plain
+    int; the MPI runtime writes the loads and the HMT gate the
+    priorities.
 
     Examples
     --------
     >>> chip = Power5Chip()
-    >>> chip.context_of_cpu(3)
-    HardwareContextId(core=1, thread=1)
-    >>> chip.cpu_of_context(HardwareContextId(1, 1))
-    3
+    >>> chip.priorities, chip.loads
+    ([4, 4, 4, 4], [None, None, None, None])
     >>> Power5Chip(n_nodes=2).core_groups
     [[0, 1], [2, 3]]
     """
@@ -94,13 +68,13 @@ class Power5Chip:
         self.cpus_per_node = self.config.n_cpus
         self.n_cpus = n_nodes * self.cpus_per_node
         per_node = self.config.n_cores
-        self.cores: List[SmtCore] = [SmtCore(i) for i in range(n_nodes * per_node)]
+        self.n_cores = n_nodes * per_node
+        self.loads: List[Optional[LoadProfile]] = [None] * self.n_cpus
+        self.priorities: List[int] = [int(DEFAULT_PRIORITY)] * self.n_cpus
         #: Core indices per node: the throughput-coupling domains.
         self.core_groups: List[List[int]] = [
             list(range(k * per_node, (k + 1) * per_node)) for k in range(n_nodes)
         ]
-
-    # -- addressing -----------------------------------------------------------
 
     def _check_cpu(self, cpu: int) -> None:
         if not 0 <= cpu < self.n_cpus:
@@ -113,57 +87,17 @@ class Power5Chip:
         self._check_cpu(cpu)
         return cpu // self.cpus_per_node
 
-    def context_of_cpu(self, cpu: int) -> HardwareContextId:
-        """Translate a logical CPU id to ``(core, thread)``."""
-        self._check_cpu(cpu)
-        return HardwareContextId(cpu // 2, cpu % 2)
-
-    def cpu_of_context(self, ctx: HardwareContextId) -> int:
-        """Translate ``(core, thread)`` to a logical CPU id."""
-        if not 0 <= ctx.core < len(self.cores) or ctx.thread not in (0, 1):
-            raise ConfigurationError(f"invalid context {ctx} for this chip")
-        return ctx.core * 2 + ctx.thread
-
-    @property
-    def cpus(self) -> List[int]:
-        return list(range(self.n_cpus))
-
-    # -- state access by logical CPU -------------------------------------------
-
     def priority(self, cpu: int) -> HardwarePriority:
+        """Current hardware priority of ``cpu``."""
         self._check_cpu(cpu)
-        return self.cores[cpu // 2].priority(cpu % 2)
-
-    def set_priority(self, cpu: int, priority: int) -> None:
-        self._check_cpu(cpu)
-        self.cores[cpu // 2].set_priority(cpu % 2, priority)
+        return HardwarePriority(self.priorities[cpu])
 
     def store_priority(self, cpu: int, priority: int) -> None:
         """Store a plain-int level the HMT gate already validated."""
         if not 0 <= cpu < self.n_cpus:
             self._check_cpu(cpu)  # raises
-        self.cores[cpu // 2]._priorities[cpu % 2] = priority
-
-    def load(self, cpu: int) -> Optional[LoadProfile]:
-        ctx = self.context_of_cpu(cpu)
-        return self.cores[ctx.core].load(ctx.thread)
-
-    def set_load(self, cpu: int, profile: Optional[LoadProfile]) -> None:
-        ctx = self.context_of_cpu(cpu)
-        self.cores[ctx.core].set_load(ctx.thread, profile)
-
-    # -- snapshots --------------------------------------------------------------
-
-    def snapshot(self) -> Tuple[CoreSnapshot, ...]:
-        """Per-core snapshots, the machine-level throughput key."""
-        return tuple(core.snapshot() for core in self.cores)
-
-    def reset(self) -> None:
-        """Back to power-on defaults: MEDIUM priorities, no loads."""
-        for core in self.cores:
-            for t in (0, 1):
-                core.set_priority(t, 4)
-                core.set_load(t, None)
+        self.priorities[cpu] = priority
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Power5Chip(cores={self.cores!r})"
+        names = [getattr(load, "name", None) for load in self.loads]
+        return f"Power5Chip(priorities={self.priorities}, loads={names})"

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.machine.system import SystemConfig
+from repro.kernel.hmt import Actor, HmtController
+from repro.machine.mapping import ProcessMapping
+from repro.machine.system import System, SystemConfig
+from repro.mpi.runtime import MpiRuntime, RunLayout
+from repro.smt.analytic import AnalyticThroughputModel
 from repro.smt.chip import Power5Chip
 from repro.smt.instructions import BASE_PROFILES
+from repro.workloads.generators import barrier_loop_programs
 
 
 @pytest.fixture()
@@ -35,12 +40,10 @@ class TestAddressing:
         "call",
         [
             lambda m, cpu: m.priority(cpu),
-            lambda m, cpu: m.set_priority(cpu, 6),
+            lambda m, cpu: HmtController(m).set_priority(cpu, 6, Actor.OS),
             lambda m, cpu: m.store_priority(cpu, 6),
-            lambda m, cpu: m.load(cpu),
-            lambda m, cpu: m.set_load(cpu, BASE_PROFILES["hpc"]),
         ],
-        ids=["priority", "set_priority", "store_priority", "load", "set_load"],
+        ids=["priority", "set_priority", "store_priority"],
     )
     def test_state_calls_reject_out_of_range_cpus(self, machine, call, cpu):
         # -1 is the case a bare list index would silently accept.
@@ -49,35 +52,39 @@ class TestAddressing:
         for node in range(len(machine.core_groups)):
             for cpu_ in node_cpus(machine, node):
                 assert int(machine.priority(cpu_)) == 4
-                assert machine.load(cpu_) is None
+        assert machine.priorities == [4] * 12
+        assert machine.loads == [None] * 12
 
     def test_core_groups_per_chip(self, machine):
         assert machine.core_groups == [[0, 1], [2, 3], [4, 5]]
-        assert len(machine.cores) == 6
+        assert machine.n_cores == 6
 
 
 class TestStateRouting:
     def test_priority_routes_to_right_chip(self, machine):
-        machine.set_priority(5, 6)  # node 1, local cpu 1 -> core 0 thread 1
+        machine.store_priority(5, 6)  # node 1, local cpu 1 -> core 0 thread 1
         assert int(machine.priority(5)) == 6
         node1, node0 = node_cpus(machine, 1), node_cpus(machine, 0)
         assert int(machine.priority(node1[1])) == 6
-        assert int(machine.cores[machine.core_groups[1][0]].priority(1)) == 6
+        assert machine.priorities[2 * machine.core_groups[1][0] + 1] == 6
         assert int(machine.priority(node0[1])) == 4  # untouched
 
-    def test_load_routes_to_right_chip(self, machine):
-        machine.set_load(8, BASE_PROFILES["hpc"])
-        first_core = machine.cores[machine.core_groups[2][0]]
-        assert first_core.load(0).name == "hpc"
-        assert machine.load(node_cpus(machine, 2)[0]).name == "hpc"
-        assert machine.load(8).name == "hpc"
-
-    def test_reset(self, machine):
-        machine.set_priority(0, 6)
-        machine.set_load(0, BASE_PROFILES["hpc"])
-        machine.reset()
-        assert int(machine.priority(0)) == 4
-        assert machine.load(0) is None
+    def test_load_routes_to_right_chip(self):
+        machine, hmt, _scheduler, kernel = System(SystemConfig(n_nodes=3)).build_machine()
+        runtime = MpiRuntime(
+            chip=machine,
+            kernel=kernel,
+            hmt=hmt,
+            model=AnalyticThroughputModel(),
+            programs=barrier_loop_programs([1e9] * 12, iterations=1),
+            layout=RunLayout(machine, ProcessMapping.identity(12).as_dict()),
+        )
+        runtime._set_context_load(runtime._procs[8], "hpc")
+        runtime._recompute_rates()
+        first_core = machine.core_groups[2][0]
+        assert runtime._core_names[first_core][0] == "hpc"
+        assert machine.loads[node_cpus(machine, 2)[0]] is BASE_PROFILES["hpc"]
+        assert machine.loads[8].name == "hpc"
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

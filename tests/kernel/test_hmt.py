@@ -146,7 +146,7 @@ class TestCpuBounds:
             with pytest.raises(ConfigurationError):
                 machine.priority(cpu)
             with pytest.raises(ConfigurationError):
-                machine.set_priority(cpu, 4)
+                machine.store_priority(cpu, 4)
 
     def test_refused_cpu_leaves_history_untouched(self, hmt):
         with pytest.raises(ConfigurationError):
@@ -174,15 +174,13 @@ class TestIntStorage:
         assert hmt.chip.priority(1) is HardwarePriority.HIGH
         assert hmt.priorities() == (4, 6, 4, 4)
         assert all(type(p) is HardwarePriority for p in hmt.priorities())
-        core = hmt.chip.cores[0]
-        assert core.priority(1) is HardwarePriority.HIGH
-        assert core.priorities == (HardwarePriority.MEDIUM, HardwarePriority.HIGH)
+        assert hmt.chip.priorities[:2] == [HardwarePriority.MEDIUM, HardwarePriority.HIGH]
 
     def test_member_writes_are_stored_as_ints(self, hmt):
         hmt.set_priority(0, HardwarePriority.LOW, Actor.USER)
         hmt.set_priority(1, 3, Actor.USER)
-        stored = hmt.chip.cores[0].snapshot().priorities
-        assert stored == (2, 3)
+        stored = hmt.chip.priorities[:2]
+        assert stored == [2, 3]
         assert [type(x) for x in stored] == [int, int]
         assert [type(w.priority) for w in hmt.history] == [int, int]
 
@@ -192,5 +190,5 @@ class TestIntStorage:
         hmt.set_priority(5, 6, Actor.OS)
         assert machine.priority(5) is HardwarePriority.HIGH
         # Global CPU 5 is node 1's first core, thread 1.
-        core = machine.cores[machine.core_groups[1][0]]
-        assert core.priority(1) is HardwarePriority.HIGH
+        core = machine.core_groups[1][0]
+        assert HardwarePriority(machine.priorities[2 * core + 1]) is HardwarePriority.HIGH

@@ -11,7 +11,6 @@ class TestPinning:
         s = PinnedScheduler(4)
         s.pin(10, 2)
         assert s.cpu_of(10) == 2
-        assert s.pid_on(2) == 10
         assert 10 in s
 
     def test_double_pin_pid_rejected(self):
@@ -26,19 +25,6 @@ class TestPinning:
         with pytest.raises(MappingError, match="already runs"):
             s.pin(11, 0)
 
-    def test_unpin(self):
-        s = PinnedScheduler(4)
-        s.pin(10, 0)
-        s.unpin(10)
-        assert s.pid_on(0) is None
-        assert 10 not in s
-        s.pin(11, 0)  # cpu free again
-
-    def test_unpin_unknown(self):
-        s = PinnedScheduler(4)
-        with pytest.raises(MappingError):
-            s.unpin(99)
-
     def test_cpu_of_unknown(self):
         s = PinnedScheduler(4)
         with pytest.raises(MappingError):
@@ -49,14 +35,7 @@ class TestPinning:
         with pytest.raises(MappingError):
             s.pin(1, 2)
         with pytest.raises(MappingError):
-            s.pid_on(5)
-
-    def test_idle_cpus(self):
-        s = PinnedScheduler(4)
-        s.pin(1, 1)
-        s.pin(2, 3)
-        assert s.idle_cpus == [0, 2]
-        assert s.pids == [1, 2]
+            s.pin(2, -1)
 
     def test_needs_positive_cpus(self):
         with pytest.raises(MappingError):

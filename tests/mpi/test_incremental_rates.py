@@ -90,7 +90,7 @@ class TestMultiChipGrouping:
         }
 
         # A priority write on CPU 0 (chip 0) dirties only group 0 ...
-        machine.set_priority(0, 6)
+        machine.store_priority(0, 6)
         runtime._mark_dirty_cpu(0)
         assert runtime._dirty_groups == {0}
         runtime._recompute_rates()
