@@ -19,16 +19,19 @@ The package simulates the paper's whole stack in Python:
 
 Quickstart::
 
-    from repro import System, SystemConfig, ProcessMapping
-    from repro.workloads import metbench_programs
+    from repro import System, SystemConfig
+    from repro.workloads import barrier_loop_programs
 
-    system = System(SystemConfig(kernel="patched"))
-    result = system.run(
-        metbench_programs(light_work=1.5e10, heavy_work=6.0e10),
-        mapping=ProcessMapping.identity(4),
-        priorities={0: 4, 1: 6, 2: 4, 3: 6},
+    system = System(SystemConfig(kernel="patched"))   # the paper's machine
+    works = [1e9, 4e9, 1e9, 4e9]                      # two 4x-heavy ranks
+
+    baseline = system.run(barrier_loop_programs(works, iterations=5))
+    balanced = system.run(
+        barrier_loop_programs(works, iterations=5),
+        priorities={0: 4, 1: 6, 2: 4, 3: 6},   # echo 6 > /proc/<pid>/hmt_priority
     )
-    print(result.total_time, result.imbalance_percent)
+    print(baseline.total_time, "->", balanced.total_time)
+    print(baseline.imbalance_percent, "->", balanced.imbalance_percent)
 """
 
 from repro.version import __version__

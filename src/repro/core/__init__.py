@@ -17,8 +17,8 @@ This package is the import surface: consumers outside ``core`` should
 import these names from ``repro.core``, not from the submodules.
 """
 
-from repro.core.balancer import PriorityAssignment, Balancer, DEFAULT_PRIORITIES
-from repro.core.static import StaticPriorityBalancer, plan_from_compute_shares
+from repro.core.balancer import PriorityAssignment, Balancer
+from repro.core.static import StaticPriorityBalancer
 from repro.core.dynamic import DynamicBalancer, DynamicBalancerConfig
 from repro.core.policy import (
     POLICY_FAMILIES,
@@ -50,9 +50,7 @@ from repro.core.search import (
 __all__ = [
     "PriorityAssignment",
     "Balancer",
-    "DEFAULT_PRIORITIES",
     "StaticPriorityBalancer",
-    "plan_from_compute_shares",
     "DynamicBalancer",
     "DynamicBalancerConfig",
     "POLICY_FAMILIES",

@@ -10,16 +10,9 @@ from repro.errors import ConfigurationError
 from repro.machine.mapping import ProcessMapping
 from repro.smt.priorities import validate_priority
 
-__all__ = ["DEFAULT_PRIORITIES", "PriorityAssignment", "Balancer"]
+__all__ = ["PriorityAssignment", "Balancer"]
 
 _new = object.__new__
-
-
-def DEFAULT_PRIORITIES(n_ranks: int) -> Dict[int, int]:
-    """The unbalanced reference: every rank at MEDIUM (4)."""
-    if n_ranks <= 0:
-        raise ConfigurationError(f"n_ranks must be > 0, got {n_ranks}")
-    return {r: 4 for r in range(n_ranks)}
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from repro.core.balancer import Balancer, PriorityAssignment
 from repro.errors import ConfigurationError
 from repro.machine.mapping import ProcessMapping, paired_mapping
 
-__all__ = ["StaticPriorityBalancer", "plan_from_compute_shares"]
+__all__ = ["StaticPriorityBalancer"]
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,3 @@ class StaticPriorityBalancer(Balancer):
             priorities[heavy] = self.base_priority + gap
         return PriorityAssignment.build(mapping, priorities, label="static-balancer")
 
-
-def plan_from_compute_shares(
-    compute_fractions: Sequence[float],
-    mapping: ProcessMapping,
-    max_gap: int = 2,
-) -> PriorityAssignment:
-    """One-call convenience: plan from the paper's "Comp %" style numbers."""
-    balancer = StaticPriorityBalancer(max_gap=max_gap)
-    return balancer.plan(list(compute_fractions), mapping)

@@ -25,7 +25,7 @@ On ``n_nodes > 1`` nodes one kernel image spans the machine (the
 scheduler pins by global CPU) and each run derives its rank-pair
 communication costs from node placement: intra-node pairs use the
 runtime's shared-memory costs, inter-node pairs the network's latency
-and bandwidth and ``network_eager_threshold``. A one-node machine has
+and bandwidth and :data:`NETWORK_EAGER_THRESHOLD`. A one-node machine has
 no network, so its messages take the runtime's plain costs.
 """
 
@@ -49,7 +49,9 @@ from repro.kernel.scheduler import PinnedScheduler
 from repro.machine.mapping import ProcessMapping
 from repro.mpi.p2p import CommCosts
 from repro.mpi.process import RankProgram
-from repro.mpi.runtime import MpiRuntime, RunLayout, RunResult, RuntimeConfig
+from repro.mpi.runtime import (
+    COMM_COSTS, MpiRuntime, RunLayout, RunResult, RuntimeConfig,
+)
 from repro.smt.analytic import AnalyticModelConfig, AnalyticThroughputModel
 from repro.smt.chip import ChipConfig, Power5Chip
 from repro.smt.throughput import ThroughputTable
@@ -58,6 +60,10 @@ from repro.util.rng import RngStreams
 from repro.util.validation import check_positive
 
 __all__ = ["SystemConfig", "System"]
+
+#: Eager/rendezvous switch for inter-node messages (network transports
+#: buffer less than shared memory).
+NETWORK_EAGER_THRESHOLD = 16384
 
 
 @dataclass(frozen=True)
@@ -70,9 +76,6 @@ class SystemConfig:
     n_nodes: int = 1
     #: Latency/bandwidth between nodes (unused on one node).
     network: NetworkModel = field(default_factory=UniformNetwork)
-    #: Eager/rendezvous switch for inter-node messages (network transports
-    #: buffer less than shared memory).
-    network_eager_threshold: int = 16384
     kernel: str = "patched"  # "standard" | "patched"
     model: str = "analytic"  # "analytic" | "cycle"
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
@@ -105,8 +108,6 @@ class SystemConfig:
                 f"(got model={self.model!r})"
             )
         check_positive("n_nodes", self.n_nodes)
-        if self.network_eager_threshold < 0:
-            raise ConfigurationError("network_eager_threshold must be >= 0")
         if self.tick_hz < 0 or self.irq_rate_hz < 0:
             raise ConfigurationError("tick_hz/irq_rate_hz must be >= 0")
         daemons = set()
@@ -255,7 +256,7 @@ class System:
         across the same two nodes shares one :class:`CommCosts` (network
         models are symmetric in their two nodes).
         """
-        base = self.config.runtime.comm_costs
+        base = COMM_COSTS
         network = self.config.network
         rank_node = [chip.node_of_cpu(cpu) for _rank, cpu in mapping.rank_to_cpu]
         links: Dict[tuple, CommCosts] = {}
@@ -269,7 +270,7 @@ class System:
                 costs = links[pair] = CommCosts(
                     latency=base.latency + network.latency(*pair),
                     bandwidth=min(base.bandwidth, network.bandwidth(*pair)),
-                    eager_threshold=self.config.network_eager_threshold,
+                    eager_threshold=NETWORK_EAGER_THRESHOLD,
                     call_overhead=base.call_overhead,
                 )
             return costs

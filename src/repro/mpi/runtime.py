@@ -33,7 +33,7 @@ import heapq
 import itertools
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import (
@@ -64,7 +64,7 @@ from repro.mpi.process import (
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.smt.chip import Power5Chip
-from repro.smt.instructions import BASE_PROFILES, LoadProfile
+from repro.smt.instructions import BASE_PROFILES, SPIN_LOAD, LoadProfile
 from repro.telemetry import default_registry as _telemetry_registry
 from repro.telemetry import enabled as _telemetry_enabled
 from repro.trace.events import RankState
@@ -76,21 +76,23 @@ from repro.util.validation import check_positive
 __all__ = ["RuntimeConfig", "RunResult", "RunLayout", "MpiRuntime"]
 
 
+#: What a context runs while executing kernel handlers/daemons.
+NOISE_LOAD = BASE_PROFILES["int"]
+#: Intra-node (shared-memory) message costs.
+COMM_COSTS = CommCosts()
+#: Temporal tolerance for simultaneity (simulated seconds).
+EPSILON = 1e-9
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Behavioural knobs of the runtime."""
 
     wait_mode: str = "spin"
-    spin_profile: str = "spin"
-    #: Load profile contexts run while executing kernel handlers/daemons.
-    noise_profile: str = "int"
-    comm_costs: CommCosts = field(default_factory=CommCosts)
     #: Hard wall on simulated seconds, to catch runaway programs.
     time_limit: float = 1e5
     #: Hard wall on processed events.
     max_events: int = 2_000_000
-    #: Temporal tolerance for simultaneity.
-    epsilon: float = 1e-9
     #: Per-core-group dirty tracking: a state change on one chip only
     #: re-solves that chip's IPC. Disable to force a full re-solve on
     #: every state change (equivalence testing / ablation — results are
@@ -109,12 +111,8 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"wait_mode must be 'spin' or 'block', got {self.wait_mode!r}"
             )
-        for key in (self.spin_profile, self.noise_profile):
-            if key not in BASE_PROFILES:
-                raise ConfigurationError(f"unknown runtime profile {key!r}")
         check_positive("time_limit", self.time_limit)
         check_positive("max_events", self.max_events)
-        check_positive("epsilon", self.epsilon)
 
 
 @dataclass
@@ -226,7 +224,7 @@ class RunLayout:
     (its pid) to its CPU from it at launch.
 
     ``pair_costs`` starts as ``None`` (every rank pair takes the runtime's
-    ``comm_costs``); a multi-node System sets it to the mapping's
+    :data:`COMM_COSTS`); a multi-node System sets it to the mapping's
     rank-pair resolver ``(src, dst) -> CommCosts`` before the first run.
     """
 
@@ -339,16 +337,14 @@ class MpiRuntime:
         self.world = layout.world
         self._pair_costs = layout.pair_costs
         self.collectives = CollectiveManager(
-            self.config.comm_costs, pair_costs=layout.pair_costs
+            COMM_COSTS, pair_costs=layout.pair_costs
         )
         self.trace = Trace(self.n_ranks, label=label)
         #: What a waiting rank's context runs (``None``: it vacates it),
         #: and what a preempted one runs.
         self._wait_profile = (
-            BASE_PROFILES[self.config.spin_profile]
-            if self.config.wait_mode == "spin" else None
+            SPIN_LOAD if self.config.wait_mode == "spin" else None
         )
-        self._noise_profile = BASE_PROFILES[self.config.noise_profile]
 
         group_of_core = layout.group_of_core
         self._procs: List[_Proc] = [
@@ -444,7 +440,7 @@ class MpiRuntime:
         """The point-to-point engine, built at the run's first use of it
         (then an instance attribute, read at no extra cost)."""
         return MessageEngine(
-            self.n_ranks, self.config.comm_costs, pair_costs=self._pair_costs
+            self.n_ranks, COMM_COSTS, pair_costs=self._pair_costs
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -514,7 +510,7 @@ class MpiRuntime:
             ipc_by_core[span] = ipcs
             self.group_recompute_counts[gi] += 1
         dirty.clear()
-        freq = self.chip.config.freq_hz
+        freq = POWER5_FREQ_HZ
         computing = _PState.COMPUTING
         for proc in self._procs:
             if proc.state is computing:
@@ -571,7 +567,7 @@ class MpiRuntime:
             # The load did not change (``spin`` over the spin posture):
             # nothing to re-solve, but the last rate is another profile's.
             ipc = self._ipc_by_core[proc.core_idx][proc.thread]
-            proc.rate = ipc * self.chip.config.freq_hz
+            proc.rate = ipc * POWER5_FREQ_HZ
         self._set_trace(proc, op.state)
 
     def _start_collective(self, proc: _Proc, op: CollectiveOp) -> None:
@@ -729,7 +725,7 @@ class MpiRuntime:
             return
         victim.noise_resume = victim.state
         victim.state = _PState.NOISE
-        self._set_load(victim, self._noise_profile)
+        self._set_load(victim, NOISE_LOAD)
         self._set_trace(victim, RankState.NOISE)
         self._push(self.now + event.duration, "noise_end", victim.rank)
 
@@ -780,7 +776,7 @@ class MpiRuntime:
             self._advance(proc)
         t_launched = _time.perf_counter() if telemetry is not None else 0.0
 
-        eps = cfg.epsilon
+        eps = EPSILON
         max_events = cfg.max_events
         time_limit = cfg.time_limit
         n_ranks = self.n_ranks

@@ -22,7 +22,6 @@ from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.registry import (
     all_engines,
     engine_for_model,
-    engine_names,
     get_engine,
     register,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "fast_cycle_table",
     "register",
     "get_engine",
-    "engine_names",
     "all_engines",
     "engine_for_model",
 ]

@@ -67,6 +67,7 @@ from repro.smt.instructions import BASE_PROFILES
 from repro.smt.throughput import ThroughputTable
 from repro.telemetry import CacheStats, default_registry, register_cache_metrics
 from repro.util.memo import LruCache
+from repro.util.units import POWER5_FREQ_HZ
 
 __all__ = [
     "ExecutionResult",
@@ -152,23 +153,20 @@ def _observe_batch(engine: str, size: int, elapsed_s: float) -> None:
     ).labels(engine).observe(elapsed_s)
 
 
-_DEFAULT_FREQ_HZ: Optional[float] = None
-
 #: Cores per node: every spec's machine is built from default chips.
 _CORES_PER_NODE = ChipConfig().n_cores
 
+#: Warm Systems each worker thread keeps per engine (least recently used
+#: first out).
+SYSTEM_CACHE_SIZE = 8
 
-def _default_freq_hz() -> float:
-    """The default chip clock, resolved once per process.
 
-    ``SystemConfig()`` is a frozen default every time, so the frequency
-    it carries is a constant; constructing it per analytic run showed up
-    as real overhead in the batch profile.
-    """
-    global _DEFAULT_FREQ_HZ
-    if _DEFAULT_FREQ_HZ is None:
-        _DEFAULT_FREQ_HZ = SystemConfig().chip.freq_hz
-    return _DEFAULT_FREQ_HZ
+def _thread_systems(local: threading.local) -> LruCache:
+    """The calling thread's bounded cache of warm Systems."""
+    cache = getattr(local, "systems", None)
+    if cache is None:
+        cache = local.systems = LruCache(SYSTEM_CACHE_SIZE)
+    return cache
 
 
 def trace_digest(result: RunResult) -> str:
@@ -383,9 +381,6 @@ class FluidEngine(Engine):
     #: balancing policies ride the batch API.
     option_names = ("incremental_rates", "check_invariants", "controllers")
     axes = ("priority", "mapping", "dynamic", "topology")
-    #: Warm Systems each worker thread keeps (least recently used first
-    #: out): one per distinct (options, topology) it runs.
-    SYSTEM_CACHE_SIZE = 8
 
     def __init__(self) -> None:
         self._local = threading.local()
@@ -420,9 +415,7 @@ class FluidEngine(Engine):
         machine per distinct shape per thread — but not its seed: this
         engine's machine has no seeded source (no tick, IRQ or noise, and
         the analytic model draws nothing), so every seed runs alike."""
-        cache: Optional[LruCache[System]] = getattr(self._local, "systems", None)
-        if cache is None:
-            cache = self._local.systems = LruCache(self.SYSTEM_CACHE_SIZE)
+        cache = _thread_systems(self._local)
         key = (incremental, invariants, topology)
         system = cache.get(key)
         if system is None:
@@ -501,11 +494,11 @@ class CycleEngine(Engine):
         table_path: Optional[str],
         topology: Optional[TopologySpec] = None,
     ) -> System:
-        cache: Optional[Dict[tuple, System]] = getattr(
-            self._local, "systems", None
-        )
-        if cache is None:
-            cache = self._local.systems = {}
+        """Per-thread warm Systems, one per (seed, table path, topology).
+        An evicted System loses only measurements its table repeats: a
+        ``ThroughputTable`` measures each key alike for a given seed, and
+        runs with a table path persist theirs."""
+        cache = _thread_systems(self._local)
         key = (seed, table_path, topology)
         system = cache.get(key)
         if system is None:
@@ -518,7 +511,7 @@ class CycleEngine(Engine):
                     system = _new_system(config)
             else:
                 system = _new_system(config)
-            cache[key] = system
+            cache.put(key, system)
         return system
 
     def run(
@@ -689,7 +682,7 @@ class AnalyticEngine(Engine):
         mapping = spec.mapping_obj()
         ipcs = self._steady_ipcs(spec, mapping, model)
         # The closed form proper: bottleneck rank's work over its IPC.
-        freq = _default_freq_hz()
+        freq = POWER5_FREQ_HZ
         worst = 0.0
         for rank in range(spec.n_ranks):
             cpu = mapping.cpu_of(rank)

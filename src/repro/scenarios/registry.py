@@ -19,7 +19,6 @@ from repro.scenarios.engines import Engine
 __all__ = [
     "register",
     "get_engine",
-    "engine_names",
     "all_engines",
     "engine_for_model",
 ]
@@ -54,16 +53,11 @@ def register(engine: Engine, replace: bool = False) -> Engine:
 def get_engine(name: str) -> Engine:
     with _LOCK:
         engine = _ENGINES.get(name)
-    if engine is None:
-        raise ConfigurationError(
-            f"unknown engine {name!r} (registered: {list(engine_names())})"
-        )
+        if engine is None:
+            raise ConfigurationError(
+                f"unknown engine {name!r} (registered: {sorted(_ENGINES)})"
+            )
     return engine
-
-
-def engine_names() -> Tuple[str, ...]:
-    with _LOCK:
-        return tuple(sorted(_ENGINES))
 
 
 def all_engines() -> Tuple[Engine, ...]:

@@ -235,6 +235,13 @@ class JobSpec:
             # ValidationError (a ReproError, so the HTTP layer's 400
             # mapping still applies).
             scenario = ScenarioSpec.from_doc(doc["scenario"])
+        check_invariants = doc.get("check_invariants", False)
+        if not isinstance(check_invariants, bool):
+            # bool() would read "false" as True, under another content
+            # address than a real false.
+            raise ServiceError(
+                f"check_invariants must be a boolean, got {check_invariants!r}"
+            )
         try:
             return cls(
                 scenario=scenario,
@@ -243,7 +250,7 @@ class JobSpec:
                 iterations=(int(doc["iterations"])
                             if doc.get("iterations") is not None else None),
                 model=str(doc.get("model", "analytic")),
-                check_invariants=bool(doc.get("check_invariants", False)),
+                check_invariants=check_invariants,
                 lane=str(doc.get("lane", "batch")),
                 timeout_s=(float(doc["timeout_s"])
                            if doc.get("timeout_s") is not None else None),

@@ -21,7 +21,6 @@ from typing import List, Optional
 from repro.errors import ConfigurationError
 from repro.smt.instructions import LoadProfile
 from repro.smt.priorities import DEFAULT_PRIORITY, HardwarePriority
-from repro.util.units import POWER5_FREQ_HZ
 from repro.util.validation import check_positive
 
 __all__ = ["ChipConfig", "Power5Chip"]
@@ -32,11 +31,9 @@ class ChipConfig:
     """Static chip parameters (the paper's machine is the default)."""
 
     n_cores: int = 2
-    freq_hz: float = POWER5_FREQ_HZ
 
     def __post_init__(self) -> None:
         check_positive("n_cores", self.n_cores)
-        check_positive("freq_hz", self.freq_hz)
 
     @property
     def n_cpus(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -304,13 +304,3 @@ class InstructionStream:
         while True:
             yield self.next_instruction()
 
-
-def get_profile(name: str, profiles: Optional[Mapping[str, LoadProfile]] = None) -> LoadProfile:
-    """Look up a profile by name in ``profiles`` (default: BASE_PROFILES)."""
-    table = BASE_PROFILES if profiles is None else profiles
-    try:
-        return table[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown load profile {name!r}; available: {sorted(table)}"
-        ) from None

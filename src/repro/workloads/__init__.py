@@ -1,7 +1,8 @@
 """The paper's workloads, rebuilt as simulated MPI applications.
 
 * :mod:`repro.workloads.metbench` — MetBench, the BSC micro-benchmark
-  (master/worker, strict barrier synchronisation, per-worker loads).
+  (master/worker, strict barrier synchronisation, one load profile for
+  every worker).
 * :mod:`repro.workloads.bt_mz` — the NAS BT Multi-Zone benchmark's
   structure: geometric zone-size skew, per-iteration neighbour exchange
   with ``isend/irecv/waitall``.
@@ -12,9 +13,8 @@
   examples, tests and Figure 1.
 """
 
-from repro.workloads.base import WorkVector, works_for_targets, scale_works
-from repro.workloads.loads import MetBenchLoad, METBENCH_LOADS, get_load
-from repro.workloads.metbench import MetBenchConfig, metbench_programs
+from repro.workloads.base import WorkVector, works_for_targets
+from repro.workloads.metbench import metbench_programs
 from repro.workloads.bt_mz import BtMzConfig, ZoneGrid, bt_mz_programs
 from repro.workloads.nas_mz import (
     sp_mz_programs,
@@ -37,11 +37,6 @@ from repro.workloads.generators import (
 __all__ = [
     "WorkVector",
     "works_for_targets",
-    "scale_works",
-    "MetBenchLoad",
-    "METBENCH_LOADS",
-    "get_load",
-    "MetBenchConfig",
     "metbench_programs",
     "BtMzConfig",
     "ZoneGrid",

@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 from repro.errors import WorkloadError
 
-__all__ = ["WorkVector", "works_for_targets", "scale_works", "validate_works"]
+__all__ = ["WorkVector", "works_for_targets", "validate_works"]
 
 WorkVector = List[float]
 
@@ -71,10 +71,3 @@ def works_for_targets(
     return validate_works(
         [f * total_seconds * rate for f, rate in zip(compute_fractions, rates)]
     )
-
-
-def scale_works(works: Sequence[float], factor: float) -> WorkVector:
-    """Multiply every entry by ``factor`` (e.g. per-iteration split)."""
-    if factor <= 0:
-        raise WorkloadError(f"scale factor must be > 0, got {factor}")
-    return [float(w) * factor for w in validate_works(works)]

@@ -7,95 +7,63 @@ during the initialization phase and use an ``mpi_barrier()`` to get
 synchronized") and starts the next iteration. Imbalance is introduced by
 assigning one worker a larger load than the worker sharing its core.
 
-Two variants are provided:
-
-* the 4-rank layout of the paper's Table IV (the master's negligible
-  coordination work folded into rank 0, which is also the light worker —
-  matching the table where P1 both computes a little and waits a lot);
-* the explicit master variant (``explicit_master=True``) with a 5th,
-  compute-free master rank, matching the Figure 2 traces.
+This is the 4-rank layout of the paper's Table IV: the master's
+negligible coordination work is folded into rank 0, which is also the
+light worker — matching the table, where P1 both computes a little and
+waits a lot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import WorkloadError
 from repro.mpi.process import RankApi, RankProgram
 from repro.workloads.base import validate_works
 
-__all__ = ["MetBenchConfig", "metbench_programs"]
+__all__ = ["metbench_programs"]
+
+#: Data the master (rank 0) sends each worker during initialisation.
+INIT_BYTES = 1 << 20
+#: Small statistics bookkeeping after each computation phase (the black
+#: bars in Figure 2), as a fraction of the mean work.
+STATS_FRACTION = 0.005
 
 
-@dataclass(frozen=True)
-class MetBenchConfig:
-    """One MetBench run.
+def metbench_programs(
+    works: Sequence[float],
+    iterations: int = 10,
+    load: str = "hpc",
+) -> List[RankProgram]:
+    """Build the rank programs for a MetBench run.
 
-    Attributes
-    ----------
-    works:
-        Per-worker instructions per iteration.
-    iterations:
-        Barrier-synchronised iterations ("the number of iterations to
-        perform is a run time parameter").
-    load:
-        MetBench load (profile name) every worker runs; per-worker loads
-        may be given instead via ``worker_loads``.
-    init_bytes:
-        Data the master distributes during initialisation.
-    explicit_master:
-        Add a compute-free master rank 0 (Figure 2 layout).
+    ``works`` holds each worker's instructions per iteration,
+    ``iterations`` the barrier-synchronised iterations ("the number of
+    iterations to perform is a run time parameter") and ``load`` the
+    load profile every worker runs.
     """
-
-    works: Sequence[float]
-    iterations: int = 10
-    load: str = "hpc"
-    worker_loads: Optional[Sequence[str]] = None
-    init_bytes: int = 1 << 20
-    #: Small statistics bookkeeping after each computation phase (the
-    #: black bars in Figure 2), as a fraction of the mean work.
-    stats_fraction: float = 0.005
-    explicit_master: bool = False
-
-    def __post_init__(self) -> None:
-        validate_works(self.works)
-        if self.iterations <= 0:
-            raise WorkloadError(f"iterations must be > 0, got {self.iterations}")
-        if self.worker_loads is not None and len(self.worker_loads) != len(self.works):
-            raise WorkloadError(
-                "worker_loads must match works length "
-                f"({len(self.worker_loads)} vs {len(self.works)})"
-            )
-        if not 0.0 <= self.stats_fraction <= 0.5:
-            raise WorkloadError(f"stats_fraction out of range: {self.stats_fraction}")
-
-    @property
-    def n_ranks(self) -> int:
-        return len(self.works) + (1 if self.explicit_master else 0)
-
-    def load_of_worker(self, worker: int) -> str:
-        if self.worker_loads is not None:
-            return self.worker_loads[worker]
-        return self.load
+    works = validate_works(works)
+    if iterations <= 0:
+        raise WorkloadError(f"iterations must be > 0, got {iterations}")
+    stats_work = STATS_FRACTION * (sum(works) / len(works))
+    return [
+        _worker_program(work, iterations, load, stats_work) for work in works
+    ]
 
 
-def _worker_program(cfg: MetBenchConfig, worker_index: int) -> RankProgram:
-    work = float(cfg.works[worker_index])
-    load = cfg.load_of_worker(worker_index)
-    mean_work = sum(cfg.works) / len(cfg.works)
-    stats_work = cfg.stats_fraction * mean_work
-
+def _worker_program(
+    work: float, iterations: int, load: str, stats_work: float
+) -> RankProgram:
     def program(mpi: RankApi):
-        # Initialisation: receive the work description from the master
-        # (rank 0 in both variants).
+        # Initialisation: rank 0, the master, sends every worker its work
+        # description.
         if mpi.rank != 0:
             yield mpi.recv(source=0, tag=0)
         else:
             for peer in range(1, mpi.size):
-                yield mpi.send(dest=peer, tag=0, nbytes=cfg.init_bytes)
+                yield mpi.send(dest=peer, tag=0, nbytes=INIT_BYTES)
         yield mpi.barrier()
-        for _ in range(cfg.iterations):
+        for _ in range(iterations):
             if work > 0:
                 yield mpi.compute(work, profile=load)
             if stats_work > 0:
@@ -103,43 +71,3 @@ def _worker_program(cfg: MetBenchConfig, worker_index: int) -> RankProgram:
             yield mpi.barrier()
 
     return program
-
-
-def _master_program(cfg: MetBenchConfig) -> RankProgram:
-    def program(mpi: RankApi):
-        for peer in range(1, mpi.size):
-            yield mpi.send(dest=peer, tag=0, nbytes=cfg.init_bytes)
-        yield mpi.barrier()
-        for _ in range(cfg.iterations):
-            # The master performs only bookkeeping between barriers.
-            yield mpi.compute(1e6, profile="int")
-            yield mpi.barrier()
-
-    return program
-
-
-def metbench_programs(
-    works: Optional[Sequence[float]] = None,
-    iterations: int = 10,
-    load: str = "hpc",
-    config: Optional[MetBenchConfig] = None,
-    **kwargs,
-) -> List[RankProgram]:
-    """Build the rank programs for a MetBench run.
-
-    Either pass a full :class:`MetBenchConfig` or the common parameters.
-    """
-    if config is None:
-        if works is None:
-            raise WorkloadError("metbench_programs needs works or a config")
-        config = MetBenchConfig(works=works, iterations=iterations, load=load, **kwargs)
-    programs: List[RankProgram] = []
-    if config.explicit_master:
-        programs.append(_master_program(config))
-        worker_offset = 1
-    else:
-        worker_offset = 0
-    del worker_offset
-    for w in range(len(config.works)):
-        programs.append(_worker_program(config, w))
-    return programs

@@ -62,8 +62,9 @@ def traced_run(monkeypatch, built):
 
 class TestPairCostTable:
     def test_same_node_pairs_return_the_base_costs(self, traced_run):
-        system, costs = traced_run
-        base = system.config.runtime.comm_costs
+        _system, costs = traced_run
+        base = machine_system.COMM_COSTS
+        assert base == CommCosts()
         for src in NODE:
             for dst in NODE:
                 if NODE[src] == NODE[dst]:
@@ -79,11 +80,11 @@ class TestPairCostTable:
         }
         assert len(cross) == 1
         link = costs(0, 1)
-        base = system.config.runtime.comm_costs
+        base = CommCosts()
         network = system.config.network
         assert link.latency == base.latency + network.latency(0, 1)
         assert link.bandwidth == min(base.bandwidth, network.bandwidth(0, 1))
-        assert link.eager_threshold == system.config.network_eager_threshold
+        assert link.eager_threshold == machine_system.NETWORK_EAGER_THRESHOLD
 
     def test_one_construction_per_distinct_node_pair(self, traced_run, built):
         assert len(built) == 1  # nodes {0, 1}: one distinct pair per run

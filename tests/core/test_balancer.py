@@ -2,18 +2,9 @@
 
 import pytest
 
-from repro.core.balancer import DEFAULT_PRIORITIES, PriorityAssignment
+from repro.core.balancer import PriorityAssignment
 from repro.errors import ConfigurationError
 from repro.machine.mapping import ProcessMapping, paper_mapping
-
-
-class TestDefaults:
-    def test_all_medium(self):
-        assert DEFAULT_PRIORITIES(3) == {0: 4, 1: 4, 2: 4}
-
-    def test_needs_positive(self):
-        with pytest.raises(ConfigurationError):
-            DEFAULT_PRIORITIES(0)
 
 
 class TestPriorityAssignment:

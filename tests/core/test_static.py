@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.static import StaticPriorityBalancer, plan_from_compute_shares
+from repro.core.static import StaticPriorityBalancer
 from repro.errors import ConfigurationError
 from repro.machine.mapping import ProcessMapping
 
@@ -97,7 +97,8 @@ class TestPlan:
             StaticPriorityBalancer(balance_threshold=0.0)
 
     def test_convenience_wrapper(self):
-        plan = plan_from_compute_shares(
+        # Plans straight from the paper's "Comp %" style numbers.
+        plan = StaticPriorityBalancer(max_gap=2).plan(
             [0.24, 0.99, 0.24, 0.99], ProcessMapping.identity(4)
         )
         assert plan.max_gap == 2

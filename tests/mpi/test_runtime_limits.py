@@ -18,14 +18,6 @@ class TestRuntimeConfig:
             RuntimeConfig(time_limit=0)
         with pytest.raises(ConfigurationError):
             RuntimeConfig(max_events=0)
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(epsilon=0)
-
-    def test_unknown_spin_profile_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="nope"):
-            RuntimeConfig(spin_profile="nope")
-        with pytest.raises(ConfigurationError, match="nope"):
-            RuntimeConfig(noise_profile="nope")
 
 
 class TestRunawayGuards:

@@ -16,13 +16,13 @@ from repro.machine.system import System, SystemConfig
 from repro.oracle.golden import default_records
 from repro.policies import TournamentConfig, run_tournament
 from repro.scenarios import (
+    CycleEngine,
     Engine,
     FluidEngine,
     ScenarioGenerator,
     ScenarioSpec,
     all_engines,
     engine_for_model,
-    engine_names,
     fast_cycle_table,
     get_engine,
     register,
@@ -42,7 +42,6 @@ SPEC = ScenarioSpec(
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert engine_names() == ("analytic", "cycle", "fluid")
         assert [e.name for e in all_engines()] == ["analytic", "cycle", "fluid"]
 
     def test_unknown_engine_raises(self):
@@ -72,7 +71,7 @@ class TestRegistry:
             # tests clean their stand-in out of the module table.
             with registry_module._LOCK:
                 registry_module._ENGINES.pop("custom-test-engine", None)
-        assert "custom-test-engine" not in engine_names()
+        assert "custom-test-engine" not in [e.name for e in all_engines()]
 
     def test_nameless_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="no name"):
@@ -233,7 +232,7 @@ class TestFluidWarmSystems:
 
     def test_distinct_topologies_stay_within_the_bound(self):
         engine = FluidEngine()
-        bound = FluidEngine.SYSTEM_CACHE_SIZE
+        bound = engines_module.SYSTEM_CACHE_SIZE
         seen = []
         for n_nodes in range(1, bound + 4):
             engine.run(dataclasses.replace(SPEC, topology=TopologySpec(n_nodes)))
@@ -245,6 +244,24 @@ class TestFluidWarmSystems:
         assert all(
             b[0] >= a[0] and b[1] > a[1] for a, b in zip(seen, seen[1:])
         )
+
+
+class TestCycleWarmSystems:
+    """The cycle engine keeps its per-thread warm Systems (one per seed,
+    table path and topology) in the same bounded LRU as fluid."""
+
+    def test_distinct_seeds_stay_within_the_bound(self):
+        engine = CycleEngine()
+        bound = engines_module.SYSTEM_CACHE_SIZE
+        systems = [engine._system(seed, None) for seed in range(bound + 1)]
+        cache = engine._local.systems
+        assert len(cache) == bound
+        # The oldest seed went first; the newest are still warm.
+        assert (0, None, None) not in cache
+        assert engine._system(bound, None) is systems[-1]
+        assert engine._system(1, None) is systems[1]
+        # Building a System measures nothing: the tables are empty.
+        assert all(system.model.cached_keys == 0 for system in systems)
 
 
 class TestEveryBackendAcceptsEveryDraw:

@@ -112,6 +112,20 @@ class TestSpecDocs:
             JobSpec.from_doc({"suite": "metbench", "case": "A",
                               "timeout_s": "soon"})
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_check_invariants_must_be_a_boolean(self, value):
+        # bool("false") is True: coercing would run the oracle under a
+        # different content address than the client asked for.
+        with pytest.raises(ServiceError, match="check_invariants"):
+            JobSpec.from_doc({"suite": "metbench", "case": "A",
+                              "check_invariants": value})
+
+    def test_check_invariants_booleans_accepted(self):
+        for value in (False, True):
+            spec = JobSpec.from_doc({"suite": "metbench", "case": "A",
+                                     "check_invariants": value})
+            assert spec.check_invariants is value
+
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):

@@ -11,7 +11,6 @@ from repro.smt.instructions import (
     InstructionStream,
     LoadProfile,
     SPIN_LOAD,
-    get_profile,
 )
 
 
@@ -62,11 +61,6 @@ class TestLoadProfile:
         v = p.mix_vector()
         assert v[int(InstrClass.FPU)] == pytest.approx(p.fpu_fraction)
         assert v.sum() == pytest.approx(1.0)
-
-    def test_get_profile_lookup_and_error(self):
-        assert get_profile("hpc") is BASE_PROFILES["hpc"]
-        with pytest.raises(ConfigurationError, match="unknown load profile"):
-            get_profile("nope")
 
 
 class TestInstructionStream:

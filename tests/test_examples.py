@@ -7,6 +7,7 @@ own process keeps a refactor from silently breaking the API they show.
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,17 @@ def test_example_runs(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_package_quickstart_runs():
+    """The ``Quickstart::`` block of the ``repro`` package docstring runs."""
+    import repro
+
+    block = []
+    for line in repro.__doc__.split("Quickstart::", 1)[1].splitlines()[1:]:
+        if line.strip() and not line.startswith("    "):
+            break
+        block.append(line)
+    code = textwrap.dedent("\n".join(block))
+    assert "system.run(" in code
+    exec(compile(code, "repro quickstart", "exec"), {})

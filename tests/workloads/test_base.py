@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import WorkloadError
-from repro.workloads.base import scale_works, validate_works, works_for_targets
+from repro.workloads.base import validate_works, works_for_targets
 
 
 class TestValidateWorks:
@@ -60,12 +60,3 @@ class TestWorksForTargets:
         works = works_for_targets(fractions, total, 1e9)
         for w, f in zip(works, fractions):
             assert w / works[0] == pytest.approx(f / fractions[0], rel=1e-9)
-
-
-class TestScaleWorks:
-    def test_scale(self):
-        assert scale_works([2.0, 4.0], 0.5) == [1.0, 2.0]
-
-    def test_bad_factor(self):
-        with pytest.raises(WorkloadError):
-            scale_works([1.0], 0.0)

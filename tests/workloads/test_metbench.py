@@ -4,46 +4,36 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.machine.mapping import ProcessMapping
-from repro.workloads.loads import METBENCH_LOADS, get_load
-from repro.workloads.metbench import MetBenchConfig, metbench_programs
+from repro.smt.instructions import BASE_PROFILES
+from repro.workloads.metbench import metbench_programs
 
 
 class TestLoads:
+    """MetBench's ``load`` names a profile of the base catalogue."""
+
     def test_catalogue_covers_paper_resources(self):
         """'each one stressing a different processor resource (the FPU,
         the L2 cache, the branch predictor, etc)'."""
-        names = set(METBENCH_LOADS)
-        assert {"cpu_fpu", "cache_l2", "branch_mix"} <= names
+        names = set(BASE_PROFILES)
+        assert {"fpu", "l2", "branch"} <= names
 
     def test_lookup(self):
-        assert get_load("cpu_fpu").profile.fpu_fraction > 0.3
-
-    def test_unknown(self):
-        with pytest.raises(WorkloadError):
-            get_load("gpu")
+        assert BASE_PROFILES["fpu"].fpu_fraction > 0.3
 
 
 class TestConfig:
     def test_validation(self):
         with pytest.raises(WorkloadError):
-            MetBenchConfig(works=[], iterations=3)
+            metbench_programs([], iterations=3)
         with pytest.raises(WorkloadError):
-            MetBenchConfig(works=[1e9], iterations=0)
-        with pytest.raises(WorkloadError):
-            MetBenchConfig(works=[1e9], worker_loads=["hpc", "fpu"])
+            metbench_programs([1e9], iterations=0)
 
     def test_infinite_work_rejected(self):
         with pytest.raises(WorkloadError, match="must be finite"):
-            MetBenchConfig(works=[float("inf"), 1e9], iterations=1)
+            metbench_programs([float("inf"), 1e9], iterations=1)
 
     def test_n_ranks(self):
-        assert MetBenchConfig(works=[1, 2, 3]).n_ranks == 3
-        assert MetBenchConfig(works=[1, 2, 3], explicit_master=True).n_ranks == 4
-
-    def test_per_worker_loads(self):
-        cfg = MetBenchConfig(works=[1, 2], worker_loads=["fpu", "l2"])
-        assert cfg.load_of_worker(0) == "fpu"
-        assert cfg.load_of_worker(1) == "l2"
+        assert len(metbench_programs([1, 2, 3])) == 3
 
 
 class TestExecution:
@@ -58,15 +48,6 @@ class TestExecution:
         result = system.run(programs, ProcessMapping.identity(4))
         assert result.imbalance_percent < 8.0
 
-    def test_explicit_master_variant(self, system):
-        programs = metbench_programs(
-            [2e9, 2e9], iterations=2, explicit_master=True
-        )
-        assert len(programs) == 3
-        result = system.run(programs, ProcessMapping.identity(3))
-        # The master does almost no work and waits most of the time.
-        assert result.stats.rank_stats(0).sync_fraction > 0.5
-
     def test_iterations_scale_runtime(self, system):
         t3 = system.run(
             metbench_programs([2e9, 2e9], iterations=3), ProcessMapping.identity(2)
@@ -77,8 +58,8 @@ class TestExecution:
         assert t6 == pytest.approx(2 * t3, rel=0.1)
 
     def test_needs_works_or_config(self):
-        with pytest.raises(WorkloadError):
-            metbench_programs()
+        with pytest.raises(WorkloadError, match="empty work vector"):
+            metbench_programs(())
 
     def test_priority_balancing_improves(self, system, small_metbench_programs):
         """The paper's MetBench case C in miniature (shared small config:
