@@ -121,15 +121,28 @@ class RunResult:
 
     label: str
     trace: Trace
-    stats: TraceStats
     total_time: float
     events_processed: int
     priority_history_len: int
     final_priorities: Tuple[int, ...]
 
+    @cached_property
+    def stats(self) -> TraceStats:
+        """The run summary, built on first read (a search candidate reads
+        only :attr:`imbalance_percent`)."""
+        return compute_stats(self.trace)
+
     @property
     def imbalance_percent(self) -> float:
-        return self.stats.imbalance_percent
+        """``stats.imbalance_percent`` without the summary: the largest
+        SYNC total over the span, the same floats :func:`compute_stats`
+        divides (division by a positive span keeps their order)."""
+        span = self.trace.total_time
+        if span <= 0:
+            return 0.0
+        sync = RankState.SYNC
+        waits = [tl.totals.get(sync, 0.0) for tl in self.trace]
+        return max(waits, default=0.0) / span * 100.0
 
 
 class _PState:
@@ -884,11 +897,9 @@ class MpiRuntime:
                         self._advance(proc)
 
         self.trace.finish_all(self.now)
-        stats = compute_stats(self.trace)
         result = RunResult(
             label=self.label,
             trace=self.trace,
-            stats=stats,
             total_time=self.now,
             events_processed=self.events_processed,
             priority_history_len=len(self.hmt.history),

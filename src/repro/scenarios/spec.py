@@ -52,6 +52,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 from repro.cluster.spec import TopologySpec
 from repro.errors import ConfigurationError, MappingError, ValidationError
 from repro.machine.mapping import ProcessMapping, paper_mapping
+from repro.mpi.runtime import RuntimeConfig
 from repro.smt.chip import ChipConfig
 from repro.smt.instructions import BASE_PROFILES
 from repro.util.fingerprint import fingerprint_doc
@@ -303,6 +304,7 @@ class ScenarioSpec:
                     "is not OS-settable (1-6)"
                 )
         self._check_params()
+        self._check_event_bound()
 
     def _check_params(self) -> None:
         schema = _PARAM_SCHEMA[self.kind]
@@ -351,6 +353,25 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"scenario {self.name!r}: siesta needs params {missing}"
                 )
+
+    def _check_event_bound(self) -> None:
+        """Refuse a run that would certainly pass the runtime's event wall.
+
+        Every iteration of every kind completes each rank compute of
+        positive work (siesta's jittered works excepted) and releases one
+        collective (btmz exchanges point to point only): a lower bound on
+        the events a run processes. The last iteration is left out, so a
+        run the runtime would finish is never refused here.
+        """
+        computes = 0 if self.kind == "siesta" else sum(w > 0.0 for w in self.works)
+        per_iteration = computes + (self.kind != "btmz")
+        limit = RuntimeConfig.max_events
+        if (self.iterations - 1) * per_iteration > limit:
+            raise ConfigurationError(
+                f"scenario {self.name!r}: {self.iterations} iterations of "
+                f"{per_iteration} events each exceed the runtime's "
+                f"max_events={limit}"
+            )
 
     # -- derived views ---------------------------------------------------------
 

@@ -59,8 +59,6 @@ from repro.service.jobs import (
 )
 from repro.service.queue import JobQueue
 from repro.telemetry import MetricRegistry, get_logger
-# Re-exported for compatibility: percentile() lived here before moving
-# to repro.util.stats next to summarize().
 from repro.util.stats import percentile
 
 __all__ = [

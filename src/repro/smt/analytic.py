@@ -25,8 +25,10 @@ is validated against the cycle simulator in
 ``tests/smt/test_model_agreement.py``.
 
 Performance: the solver precomputes per-profile constants (latency terms
-in mix order, per-FU-group fraction tuples, miss rates) so the fixed
-point runs as straight-line code for the two threads on local floats —
+in mix order, per-FU-group fraction tuples, miss rates) and, once per
+distinct core state, a solve plan (decode supplies, solo demands,
+starting IPCs, L1-tax flags, FU groups in use), so a solve runs only the
+traffic-dependent fixed point, as straight-line code on local floats —
 the arithmetic is kept term-for-term
 identical to the definitional formulas, so results are bit-identical to
 an unoptimised evaluation. Solves are memoised at two levels with
@@ -173,11 +175,11 @@ class AnalyticThroughputModel:
         self._chip_cache: LruCache[Tuple[Tuple[float, float], ...]] = LruCache(
             chip_cache_size
         )
-        self._share_cache: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._consts: Dict[str, _ProfileConsts] = {}
-        #: Core state -> (consts a, consts b, memory fraction a, L1 miss
-        #: rate a, the same for b; 0.0 for an idle context): what a chip
-        #: memo miss needs per core, fetched once per state.
+        #: Core state -> its record: memory fraction a, L1 miss rate a, the
+        #: same for b (0.0 for an idle context), the state's sweep-0 core
+        #: memo key and its solve plan (see :meth:`_terms_of`). Built once
+        #: per distinct state.
         self._core_terms: Dict[tuple, tuple] = {}
         # Ops/cycle capacity per physical unit group (LSU shared by LD/ST).
         fu_caps: Dict[str, float] = {}
@@ -234,7 +236,9 @@ class AnalyticThroughputModel:
         at the k-th level below L1). The memory latency is
         ``CacheHierarchy.expected_latency``, term for term, minus its
         validation (profile miss rates are validated at construction)."""
-        l1_miss = min(1.0, c.l1_miss * (1.0 + l1_tax))
+        l1_miss = c.l1_miss * (1.0 + l1_tax)
+        if not l1_miss < 1.0:  # min(1.0, l1_miss)
+            l1_miss = 1.0
         l12 = l1_miss * c.l2_miss
         mem_lat = (
             (1.0 - l1_miss) * self._lat_l1
@@ -270,13 +274,6 @@ class AnalyticThroughputModel:
             self._lat_mem + 3 * congestion,
         )
 
-    def _decode_share(self, prio_a: int, prio_b: int) -> Tuple[float, float]:
-        hit = self._share_cache.get((prio_a, prio_b))
-        if hit is None:
-            hit = decode_share(prio_a, prio_b, self.config.leftover_fraction)
-            self._share_cache[(prio_a, prio_b)] = hit
-        return hit
-
     # -- the solver -------------------------------------------------------------
 
     def core_ipc(
@@ -300,40 +297,38 @@ class AnalyticThroughputModel:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        consts = self._profile_consts
-        result = self._solve(
-            consts(profile_a), consts(profile_b), state[2], state[3], external_traffic
-        )
+        core = self._core_terms.get(state) or self._terms_of(state, profile_a, profile_b)
+        result = self._solve(core[5], external_traffic)
         self._cache.put(key, result)
         return result
 
-    def _solve(
+    def _plan(
         self,
         c_a: Optional[_ProfileConsts],
         c_b: Optional[_ProfileConsts],
         prio_a: int,
         prio_b: int,
-        external_traffic: float,
-    ) -> Tuple[float, float]:
-        """The damped fixed point for threads ``a`` and ``b``.
+    ) -> tuple:
+        """A core state's solve plan: everything :meth:`_solve` needs that
+        does not depend on traffic.
 
         A thread without a load or without decode share is inactive: its
-        constants become ``None`` and it contributes nothing. Every sum
-        keeps the term order of the definitional formulas (thread ``a``
-        before ``b``, mix order within a thread), so results are
-        bit-identical to an unoptimised evaluation.
+        constants become ``None`` and it contributes nothing. The plan is
+        ``(c_a, c_b, supply_a, supply_b, solo_a, solo_b, x_a, x_b,
+        taxed_a, taxed_b, fu_groups)``: decode supplies, solo demands,
+        the starting IPCs, the two L1-tax flags and the FU groups in use.
         """
-        cfg = self.config
-        share_a, share_b = self._decode_share(prio_a, prio_b)
+        width = self.config.decode_width
+        share_a, share_b = decode_share(prio_a, prio_b, self.config.leftover_fraction)
         if c_a is not None and share_a > 0.0:
-            supply_a = share_a * cfg.decode_width
+            supply_a = share_a * width
             solo_a = c_a.solo_plain
             x_a = min(supply_a, solo_a)
             fu_a = c_a.fu_fracs
         else:
             c_a, supply_a, solo_a, x_a, fu_a = None, 0.0, 0.0, 0.0, self._no_fus
         if c_b is not None and share_b > 0.0:
-            supply_b = share_b * cfg.decode_width
+            supply_b = share_b * width
             solo_b = c_b.solo_plain
             x_b = min(supply_b, solo_b)
             fu_b = c_b.fu_fracs
@@ -343,14 +338,27 @@ class AnalyticThroughputModel:
         # actually runs: a decode-starved (or idle) co-runner evicts less.
         taxed_a = c_a is not None and c_b is not None and solo_b > 0
         taxed_b = c_a is not None and c_b is not None and solo_a > 0
+        # Groups neither thread uses never bind; skip them.
+        fu_groups = tuple(g for g in zip(self._fu_caps, fu_a, fu_b) if g[1] or g[2])
+        return (c_a, c_b, supply_a, supply_b, solo_a, solo_b, x_a, x_b,
+                taxed_a, taxed_b, fu_groups)
 
+    def _solve(self, plan: tuple, external_traffic: float) -> Tuple[float, float]:
+        """The damped fixed point for threads ``a`` and ``b`` of a core
+        state, from its :meth:`_plan`.
+
+        Every sum keeps the term order of the definitional formulas
+        (thread ``a`` before ``b``, mix order within a thread), so results
+        are bit-identical to an unoptimised evaluation.
+        """
+        (c_a, c_b, supply_a, supply_b, solo_a, solo_b, x_a, x_b,
+         taxed_a, taxed_b, fu_groups) = plan
+        cfg = self.config
         congestion_cycles = cfg.congestion_cycles
         l1_sharing_tax = cfg.l1_sharing_tax
         base_traffic = external_traffic * cfg.cross_core_factor
         damping = cfg.damping
         lat_l2, lat_l3, lat_mem = self._lat_l2, self._lat_l3, self._lat_mem
-        # Groups neither thread uses never bind; skip them.
-        fu_groups = tuple(g for g in zip(self._fu_caps, fu_a, fu_b) if g[1] or g[2])
 
         for _ in range(cfg.iterations):
             # Congestion from combined off-L1 traffic (plus cross-core).
@@ -366,11 +374,21 @@ class AnalyticThroughputModel:
 
             new_a = new_b = 0.0
             if c_a is not None:
-                l1_tax = l1_sharing_tax * min(1.0, x_b / solo_b) if taxed_a else 0.0
-                new_a = min(supply_a, self._demand(c_a, l1_tax, lat2, lat3, lat_m))
+                l1_tax = 0.0
+                if taxed_a:
+                    ratio = x_b / solo_b
+                    l1_tax = l1_sharing_tax * (ratio if ratio < 1.0 else 1.0)
+                new_a = self._demand(c_a, l1_tax, lat2, lat3, lat_m)
+                if not new_a < supply_a:  # min(supply_a, new_a)
+                    new_a = supply_a
             if c_b is not None:
-                l1_tax = l1_sharing_tax * min(1.0, x_a / solo_a) if taxed_b else 0.0
-                new_b = min(supply_b, self._demand(c_b, l1_tax, lat2, lat3, lat_m))
+                l1_tax = 0.0
+                if taxed_b:
+                    ratio = x_a / solo_a
+                    l1_tax = l1_sharing_tax * (ratio if ratio < 1.0 else 1.0)
+                new_b = self._demand(c_b, l1_tax, lat2, lat3, lat_m)
+                if not new_b < supply_b:
+                    new_b = supply_b
 
             # Joint FU capacity: proportional scaling by the worst group.
             scale = 1.0
@@ -381,7 +399,9 @@ class AnalyticThroughputModel:
                 for frac in fracs_b:
                     util += new_b * frac
                 if util > cap:
-                    scale = min(scale, cap / util)
+                    ratio = cap / util
+                    if ratio < scale:  # min(scale, ratio)
+                        scale = ratio
             if scale < 1.0:
                 new_a *= scale
                 new_b *= scale
@@ -444,10 +464,16 @@ class AnalyticThroughputModel:
         """
         if key is None:
             key = _chip_key(core_states)
+        # The chip memo, read and written inline: the same hits, misses,
+        # recency and eviction as LruCache.get and put.
         chip_cache = self._chip_cache
-        hit = chip_cache.get(key)
-        if hit is not None:
-            return hit
+        chip_data = chip_cache._data
+        out = chip_data.get(key)
+        if out is not None:
+            chip_cache.hits += 1
+            chip_data.move_to_end(key)
+            return out
+        chip_cache.misses += 1
         terms = self._core_terms
         cores = [terms.get(state) for state in key]
         if None in cores:
@@ -455,8 +481,8 @@ class AnalyticThroughputModel:
                 found or self._terms_of(state, pa, pb)
                 for found, state, (pa, pb, _xa, _xb) in zip(cores, key, core_states)
             ]
-        # The core memo's get, inlined: the same lookups, recency moves
-        # and counts as LruCache.get; inserts go through its put.
+        # The core memo's get, inlined the same way; inserts go through
+        # its put.
         core_cache = self._cache
         data = core_cache._data
         get = data.get
@@ -464,48 +490,63 @@ class AnalyticThroughputModel:
         put = core_cache.put
         solve = self._solve
         hits = misses = 0
-        externals = [0.0] * len(cores)
+        # Sweep 0 solves each core alone, under its record's zero-traffic
+        # key; sweeps 1 and 2 couple the cores through each other's
+        # off-L1 traffic (an idle context's terms are 0.0, and so is its
+        # IPC). Each sweep overwrites ``results`` in core order.
         results = []
-        for sweep in range(3):
-            if sweep:
-                # Cores couple through each other's off-L1 traffic (an
-                # idle context's terms are 0.0, and so is its IPC).
-                traffics = [
-                    ia * mf_a * l1_a + ib * mf_b * l1_b
-                    for (ia, ib), (_ca, _cb, mf_a, l1_a, mf_b, l1_b) in zip(results, cores)
-                ]
-                total = sum(traffics)
-                externals = [total - t for t in traffics]
-            results = []
-            for state, core, external in zip(key, cores, externals):
-                core_key = state + (external,)
+        for core in cores:
+            core_key = core[4]
+            ipcs = get(core_key)
+            if ipcs is None:
+                misses += 1
+                ipcs = solve(core[5], 0.0)
+                put(core_key, ipcs)
+            else:
+                hits += 1
+                move_to_end(core_key)
+            results.append(ipcs)
+        n = len(cores)
+        for _sweep in (1, 2):
+            traffics = [
+                ia * mf_a * l1_a + ib * mf_b * l1_b
+                for (ia, ib), (mf_a, l1_a, mf_b, l1_b, _k, _p) in zip(results, cores)
+            ]
+            total = sum(traffics)
+            for i in range(n):
+                external = total - traffics[i]
+                core_key = key[i] + (external,)
                 ipcs = get(core_key)
                 if ipcs is None:
                     misses += 1
-                    ipcs = solve(core[0], core[1], state[2], state[3], external)
+                    ipcs = solve(cores[i][5], external)
                     put(core_key, ipcs)
                 else:
                     hits += 1
                     move_to_end(core_key)
-                results.append(ipcs)
+                results[i] = ipcs
         core_cache.hits += hits
         core_cache.misses += misses
         out = tuple(results)
-        chip_cache.put(key, out)
+        if chip_cache.max_size:
+            chip_data[key] = out
+            if len(chip_data) > chip_cache.max_size:
+                chip_data.popitem(last=False)
         return out
 
     def _terms_of(
         self, state: tuple, pa: Optional[LoadProfile], pb: Optional[LoadProfile]
     ) -> tuple:
-        """Build and keep ``state``'s entry of the per-core terms."""
+        """Build and keep ``state``'s record in the per-core terms."""
         c_a = self._profile_consts(pa)
         c_b = self._profile_consts(pb)
         found = self._core_terms[state] = (
-            c_a, c_b,
             c_a.mem_frac if c_a is not None else 0.0,
             c_a.l1_miss if c_a is not None else 0.0,
             c_b.mem_frac if c_b is not None else 0.0,
             c_b.l1_miss if c_b is not None else 0.0,
+            state + (0.0,),
+            self._plan(c_a, c_b, state[2], state[3]),
         )
         return found
 
@@ -530,4 +571,3 @@ class AnalyticThroughputModel:
         self._chip_cache.clear()
         self._consts.clear()
         self._core_terms.clear()
-        self._share_cache.clear()

@@ -17,13 +17,7 @@ from repro.util.validation import (
     check_probability,
 )
 from repro.util.tables import TextTable
-from repro.util.stats import (
-    weighted_mean,
-    geometric_mean,
-    relative_error,
-    percent_change,
-    summarize,
-)
+from repro.util.stats import percent_change
 
 __all__ = [
     "CacheStats",
@@ -41,9 +35,5 @@ __all__ = [
     "check_type",
     "check_probability",
     "TextTable",
-    "weighted_mean",
-    "geometric_mean",
-    "relative_error",
     "percent_change",
-    "summarize",
 ]

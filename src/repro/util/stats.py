@@ -2,23 +2,11 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "weighted_mean",
-    "geometric_mean",
-    "relative_error",
-    "percent_change",
-    "percentile",
-    "Summary",
-    "summarize",
-]
+__all__ = ["percent_change", "percentile"]
 
 
 def percentile(sample: Sequence[float], q: float) -> float:
@@ -36,37 +24,6 @@ def percentile(sample: Sequence[float], q: float) -> float:
     return ordered[int(rank)]
 
 
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean; weights must be non-negative, not all zero."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != w.shape:
-        raise ConfigurationError(f"values/weights shape mismatch: {v.shape} vs {w.shape}")
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be non-negative")
-    total = w.sum()
-    if total == 0:
-        raise ConfigurationError("weights sum to zero")
-    return float((v * w).sum() / total)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values (the HPC speedup idiom)."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ConfigurationError("geometric_mean of empty sequence")
-    if np.any(v <= 0):
-        raise ConfigurationError("geometric_mean requires strictly positive values")
-    return float(np.exp(np.log(v).mean()))
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """``|measured - reference| / |reference|``; inf if reference is zero."""
-    if reference == 0:
-        return math.inf if measured != 0 else 0.0
-    return abs(measured - reference) / abs(reference)
-
-
 def percent_change(new: float, old: float) -> float:
     """Signed percent change from ``old`` to ``new`` (negative = faster/lower).
 
@@ -77,36 +34,3 @@ def percent_change(new: float, old: float) -> float:
     if old == 0:
         raise ConfigurationError("percent_change with old == 0")
     return (new - old) / old * 100.0
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-ish summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    median: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.n} mean={self.mean:.4g} std={self.std:.4g} "
-            f"min={self.minimum:.4g} median={self.median:.4g} max={self.maximum:.4g}"
-        )
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Build a :class:`Summary` from a non-empty sample."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ConfigurationError("summarize of empty sequence")
-    return Summary(
-        n=int(v.size),
-        mean=float(v.mean()),
-        std=float(v.std(ddof=1)) if v.size > 1 else 0.0,
-        minimum=float(v.min()),
-        maximum=float(v.max()),
-        median=float(np.median(v)),
-    )

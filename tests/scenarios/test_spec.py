@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, ValidationError
+from repro.mpi.runtime import RuntimeConfig
 from repro.scenarios import KINDS, MAPPINGS, ScenarioSpec
+from repro.scenarios.generator import ScenarioGenerator
 from repro.util.fingerprint import fingerprint_doc
 
 
@@ -188,6 +190,48 @@ class TestRankCountAgainstTheChip:
         doc["priorities"] = []
         with pytest.raises(ValidationError, match="exceed the machine's"):
             ScenarioSpec.from_doc(doc)
+
+
+class TestEventBound:
+    """A spec whose run would certainly pass the runtime's event wall
+    (``RuntimeConfig.max_events``) is rejected when it is built."""
+
+    #: Certain events per iteration of ``spec_for(kind)``: one per rank
+    #: compute (siesta's per-iteration works are drawn, so none are
+    #: counted) plus one collective release (btmz has none).
+    PER_ITERATION = {
+        "barrier_loop": 5, "metbench": 5, "btmz": 4, "siesta": 1, "distant_pairs": 5,
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bound_per_kind(self, kind):
+        per = self.PER_ITERATION[kind]
+        last = RuntimeConfig.max_events // per + 1
+        assert (last - 1) * per <= RuntimeConfig.max_events < last * per
+        spec_for(kind, iterations=last)
+        with pytest.raises(ConfigurationError, match="max_events"):
+            spec_for(kind, iterations=last + 1)
+        doc = spec_for(kind).to_doc()
+        doc["iterations"] = last + 1
+        with pytest.raises(ValidationError, match="max_events"):
+            ScenarioSpec.from_doc(doc)
+
+    @pytest.mark.parametrize("iterations", [10**6, 10**9])
+    def test_long_barrier_loop_rejected(self, iterations):
+        doc = {"name": "long", "kind": "barrier_loop", "works": [1e9] * 4,
+               "iterations": iterations, "mapping": "siesta"}
+        with pytest.raises(ValidationError, match="max_events"):
+            ScenarioSpec.from_doc(doc)
+
+    def test_zero_work_ranks_are_not_counted(self):
+        per = 2  # one computing rank and the barrier
+        spec_for("barrier_loop", works=(1e9, 0.0, 0.0, 0.0),
+                 iterations=RuntimeConfig.max_events // per + 1)
+
+    def test_generated_corpora_still_accepted(self):
+        for seed in range(8):
+            for spec in ScenarioGenerator(seed).take(40):
+                assert ScenarioSpec.from_doc(spec.to_doc()) == spec
 
 
 class TestNonFiniteAndNegativeNumbers:

@@ -7,12 +7,18 @@ IEEE doubles and hashed. A rewrite of the solver must reproduce the
 hash exactly; the spot entries (hex floats) name the state of a
 mismatch when it does not.
 
+The grid is also replayed on one model in reverse and in shuffled
+order, and through :meth:`chip_ipc`: a solve must not depend on which
+core states the model built its solve plans for first, nor on the path
+that built them.
+
 Re-record (only for a deliberate change to the model's physics, with a
 CHANGES.md note) with ``PYTHONPATH=src python -m tests.smt.test_solve_pin``.
 """
 
 import hashlib
 import json
+import random
 import struct
 from pathlib import Path
 
@@ -57,6 +63,36 @@ def solve_table() -> dict:
     return {"solves": n, "sha256": digest.hexdigest(), "spots": spots}
 
 
+def _profile(name):
+    return BASE_PROFILES[name] if name else None
+
+
+def _core_solve(model, a, b, pa, pb, traffic):
+    return model.core_ipc(_profile(a), _profile(b), pa, pb, external_traffic=traffic)
+
+
+def _chip_solve(model, a, b, pa, pb, traffic):
+    """A one-core chip has no external traffic: its three sweeps all
+    solve the core alone, so the zero-traffic states go through
+    :meth:`chip_ipc` and the rest through :meth:`core_ipc`."""
+    if traffic:
+        return _core_solve(model, a, b, pa, pb, traffic)
+    ((xa, xb),) = model.chip_ipc(((_profile(a), _profile(b), pa, pb),))
+    return xa, xb
+
+
+def replay_digest(model, order, solve=_core_solve) -> str:
+    """The pin digest of the grid, solved in ``order`` on ``model``."""
+    grid = list(_grid())
+    results = [None] * len(grid)
+    for i in order:
+        results[i] = solve(model, *grid[i])
+    digest = hashlib.sha256()
+    for xa, xb in results:
+        digest.update(struct.pack("<dd", xa, xb))
+    return digest.hexdigest()
+
+
 class TestSolvePin:
     def test_grid_matches_the_recorded_solves(self):
         pinned = json.loads(PINS.read_text())
@@ -71,6 +107,23 @@ class TestSolvePin:
         assert 40 <= len(spots) <= 60
         assert any(s[0] is None for s in spots)
         assert any(float.fromhex(s[5]) > 0 and float.fromhex(s[6]) > 0 for s in spots)
+
+
+class TestSolvePlanIndependence:
+    def test_reverse_and_shuffled_order_on_one_warm_model(self):
+        want = json.loads(PINS.read_text())["sha256"]
+        model = AnalyticThroughputModel(core_cache_size=0, chip_cache_size=0)
+        order = list(range(len(list(_grid()))))
+        assert replay_digest(model, order) == want
+        assert replay_digest(model, order[::-1]) == want
+        random.Random(7).shuffle(order)
+        assert replay_digest(model, order) == want
+
+    def test_through_chip_ipc_with_caches_disabled(self):
+        want = json.loads(PINS.read_text())["sha256"]
+        model = AnalyticThroughputModel(core_cache_size=0, chip_cache_size=0)
+        order = range(len(list(_grid())))
+        assert replay_digest(model, order, _chip_solve) == want
 
 
 def _render(table: dict) -> str:

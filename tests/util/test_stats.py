@@ -1,38 +1,10 @@
 """Summary-statistics helpers."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.util.stats import (
-    geometric_mean,
-    percent_change,
-    percentile,
-    relative_error,
-    summarize,
-    weighted_mean,
-)
-
-
-class TestWeightedMean:
-    def test_basic(self):
-        assert weighted_mean([1, 3], [1, 1]) == pytest.approx(2.0)
-        assert weighted_mean([1, 3], [3, 1]) == pytest.approx(1.5)
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ConfigurationError):
-            weighted_mean([1, 2], [0, 0])
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ConfigurationError):
-            weighted_mean([1, 2], [1, -1])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            weighted_mean([1, 2, 3], [1, 2])
+from repro.util.stats import percent_change, percentile
 
 
 class TestPercentile:
@@ -73,24 +45,6 @@ class TestPercentile:
         assert percentile(sample, q) in sample
 
 
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([])
-
-    @given(st.lists(st.floats(min_value=0.1, max_value=100), min_size=1, max_size=20))
-    def test_between_min_and_max(self, values):
-        g = geometric_mean(values)
-        assert min(values) - 1e-9 <= g <= max(values) + 1e-9
-
-
 class TestChangeMetrics:
     def test_percent_change_paper_convention(self):
         # 81.64s -> 74.90s is an ~8.26% improvement.
@@ -99,29 +53,3 @@ class TestChangeMetrics:
     def test_percent_change_zero_old(self):
         with pytest.raises(ConfigurationError):
             percent_change(1.0, 0.0)
-
-    def test_relative_error(self):
-        assert relative_error(11, 10) == pytest.approx(0.1)
-        assert relative_error(0, 0) == 0.0
-        assert math.isinf(relative_error(1, 0))
-
-
-class TestSummarize:
-    def test_fields(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.median == pytest.approx(2.5)
-        assert s.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
-
-    def test_single_value_std_zero(self):
-        assert summarize([5.0]).std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarize([])
-
-    def test_str_contains_n(self):
-        assert "n=2" in str(summarize([1.0, 2.0]))
